@@ -26,10 +26,12 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     mirrors hardware behaviour where those rows are simply never consumed.
     """
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    total = np.sum(exp, axis=axis, keepdims=True)
-    return exp / total
+    # In place after the first subtraction: the same values as fresh
+    # temporaries, at a fraction of the allocation cost on large stacks.
+    out = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
 def attention_probabilities(

@@ -1,8 +1,9 @@
 """Multi-head attention runtime with per-head pruning statistics.
 
-The accuracy experiments drive attention through per-head
-:class:`~repro.attention.policies.ScorePolicy` objects; this module
-adds the bookkeeping layer a system evaluation needs on top: per-head
+The accuracy experiments drive attention through
+:class:`~repro.attention.policies.ScorePolicy` objects, one call per
+layer over the ``(H, s, s)`` stack of head scores; this module adds
+the bookkeeping layer a system evaluation needs on top: per-head
 learned thresholds, per-head pruning rates, adjacent-query overlap, and
 CORELET-imbalance inputs -- the quantities Figures 2, 3, and 8 are
 built from, exposed as a reusable API instead of experiment-local code.
@@ -18,6 +19,20 @@ import numpy as np
 from repro.attention.functional import softmax
 from repro.attention.locality import measure_adjacent_overlap
 from repro.attention.policies import ScorePolicy, SprintPolicy
+
+
+def split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """``(s, num_heads * d)`` -> ``(num_heads, s, d)`` per-head view."""
+    s, total = x.shape
+    if total % num_heads:
+        raise ValueError(f"width {total} not divisible by {num_heads} heads")
+    return x.reshape(s, num_heads, total // num_heads).transpose(1, 0, 2)
+
+
+def merge_heads(x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`split_heads`: ``(H, s, d)`` -> ``(s, H * d)``."""
+    num_heads, s, d = x.shape
+    return x.transpose(1, 0, 2).reshape(s, num_heads * d)
 
 
 @dataclass
@@ -82,29 +97,24 @@ class MultiHeadRuntime:
         values: np.ndarray,
         padding_mask: Optional[np.ndarray] = None,
     ) -> MultiHeadResult:
-        """Attention over pre-projected ``(s, num_heads * d)`` tensors."""
+        """Attention over pre-projected ``(s, num_heads * d)`` tensors.
+
+        The policy sees all heads at once, as one ``(H, s, s)`` stack.
+        """
         queries = np.asarray(queries, dtype=np.float64)
         keys = np.asarray(keys, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         if queries.shape != keys.shape or keys.shape != values.shape:
             raise ValueError("q/k/v shapes must match")
-        s, total = queries.shape
-        if total % self.num_heads:
-            raise ValueError(
-                f"width {total} not divisible by {self.num_heads} heads"
-            )
-        d = total // self.num_heads
-        scale = 1.0 / np.sqrt(d)
-        outputs = np.empty_like(queries)
+        q, k, v = (split_heads(m, self.num_heads) for m in (queries, keys, values))
+        scale = 1.0 / np.sqrt(q.shape[-1])
+        scores = (q @ k.transpose(0, 2, 1)) * scale
+        probabilities, keeps = self.policy.process(
+            scores, padding_mask, q=q, k=k, scale=scale
+        )
+        outputs = merge_heads(probabilities @ v)
         stats: List[HeadStats] = []
-        for head in range(self.num_heads):
-            sl = slice(head * d, (head + 1) * d)
-            q, k, v = queries[:, sl], keys[:, sl], values[:, sl]
-            scores = (q @ k.T) * scale
-            probabilities, keep = self.policy.process(
-                scores, padding_mask, q=q, k=k, scale=scale
-            )
-            outputs[:, sl] = probabilities @ v
+        for head, keep in enumerate(keeps):
             region = keep if padding_mask is None else keep[
                 padding_mask.any(axis=1)
             ][:, padding_mask.any(axis=0)]
@@ -143,14 +153,11 @@ class MultiHeadRuntime:
         return deviations
 
     def _exact(self, queries, keys, values, padding_mask) -> np.ndarray:
-        s, total = queries.shape
-        d = total // self.num_heads
-        scale = 1.0 / np.sqrt(d)
-        out = np.empty_like(np.asarray(queries, dtype=np.float64))
-        for head in range(self.num_heads):
-            sl = slice(head * d, (head + 1) * d)
-            scores = (queries[:, sl] @ keys[:, sl].T) * scale
-            if padding_mask is not None:
-                scores = np.where(padding_mask, scores, -1e9)
-            out[:, sl] = softmax(scores, axis=-1) @ values[:, sl]
-        return out
+        q, k, v = (
+            split_heads(np.asarray(m, dtype=np.float64), self.num_heads)
+            for m in (queries, keys, values)
+        )
+        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(q.shape[-1]))
+        if padding_mask is not None:
+            scores = np.where(padding_mask, scores, -1e9)
+        return merge_heads(softmax(scores, axis=-1) @ v)

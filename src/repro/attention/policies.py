@@ -1,8 +1,12 @@
 """Score-processing policies for the four accuracy scenarios of Figure 9.
 
-A policy turns one head's raw pre-softmax score matrix into attention
-probabilities, reproducing how each hardware configuration perturbs the
-computation:
+A policy turns raw pre-softmax scores into attention probabilities,
+reproducing how each hardware configuration perturbs the computation.
+It takes one ``(s, s)`` score matrix or a ``(..., s, s)`` stack of them
+(a transformer layer passes all its heads as one ``(H, s, s)`` stack);
+every statistic a policy derives -- the calibrated threshold, the noise
+scale, the quantization ranges -- is taken per matrix over the last two
+axes, so each matrix of a stack comes out bitwise as it would alone:
 
 - :class:`ExactPolicy` -- the software baseline (no pruning).
 - :class:`RuntimePruningPolicy` -- ideal learned runtime pruning
@@ -26,21 +30,28 @@ Figure 5 sweeps).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.attention.functional import NEG_INFINITY, softmax
-from repro.attention.pruning import calibrate_threshold, prune_scores
+from repro.attention.pruning import calibrate_thresholds, prune_scores
 from repro.attention.quantization import (
+    MATRIX_AXES,
     quantize_scores,
-    split_msb_lsb,
     symmetric_quantize,
 )
 
 
 class ScorePolicy:
-    """Interface: map raw scores (+padding) to probabilities and keep mask."""
+    """Interface: map raw scores (+padding) to probabilities and keep mask.
+
+    ``scores`` is ``(s, s)`` or a ``(..., s, s)`` stack; ``padding_mask``
+    broadcasts against it (one ``(s, s)`` mask may serve a whole stack);
+    ``q``/``k`` are the matching ``(..., s, d)`` operands.  Both returned
+    arrays have the shape of ``scores``.
+    """
 
     def process(
         self,
@@ -69,24 +80,33 @@ def msb_truncated_scores(
     Both operands are symmetrically quantized to 8 bits, truncated to
     their ``msb_bits`` MSBs (arithmetic shift, exactly what storing the
     MSB half in MLC cells does), multiplied in the shifted domain, and
-    rescaled to score units.
+    rescaled to score units.  ``q``/``k`` are ``(s, d)`` or ``(..., s,
+    d)`` stacks, quantized per matrix.
     """
     if not 0 < msb_bits <= 8:
         raise ValueError("msb_bits must be in (0, 8]")
-    qq = symmetric_quantize(np.asarray(q, dtype=np.float64), bits=8)
-    kk = symmetric_quantize(np.asarray(k, dtype=np.float64), bits=8)
-    if msb_bits == 8:  # no truncation: the full 8-bit product
-        q_m = qq.codes.astype(np.int64)
-        k_m = kk.codes.astype(np.int64)
-        product = q_m @ k_m.T
-    else:
-        shift = 8 - msb_bits
-        q_m, _ = split_msb_lsb(qq.codes, bits=8, msb_bits=msb_bits)
-        k_m, _ = split_msb_lsb(kk.codes, bits=8, msb_bits=msb_bits)
-        product = (q_m.astype(np.int64) << shift) @ (
-            (k_m.astype(np.int64) << shift).T
-        )
+    qq = symmetric_quantize(q, bits=8, axis=MATRIX_AXES)
+    kk = symmetric_quantize(k, bits=8, axis=MATRIX_AXES)
+    shift = 8 - msb_bits
+    q_m = ((qq.codes >> shift) << shift).astype(np.float64)
+    k_m = ((kk.codes >> shift) << shift).astype(np.float64)
+    # Exact in float64: every partial sum of products of 8-bit codes is
+    # an integer far below 2**53, so the BLAS matmul equals the integer
+    # one bit for bit.
+    product = q_m @ np.swapaxes(k_m, -1, -2)
     return product * (qq.scale * kk.scale * scale)
+
+
+@lru_cache(maxsize=16)
+def _standard_normal(seed: int, shape: Tuple[int, ...]) -> np.ndarray:
+    """The noise pattern of ``seed``: what ``default_rng(seed)`` draws first.
+
+    ``rng.normal(0.0, sigma, size)`` is ``0.0 + sigma * z`` for exactly
+    this ``z``, so one cached draw serves every matrix and every sigma.
+    """
+    z = np.random.default_rng(seed).standard_normal(shape)
+    z.flags.writeable = False
+    return z
 
 
 @dataclass
@@ -95,11 +115,11 @@ class ExactPolicy(ScorePolicy):
 
     def process(self, scores, padding_mask=None, q=None, k=None, scale=None):
         masked = _mask_scores(scores, padding_mask)
-        keep = (
-            np.ones_like(masked, dtype=bool)
-            if padding_mask is None
-            else np.asarray(padding_mask, dtype=bool)
-        )
+        if padding_mask is None:
+            keep = np.ones_like(masked, dtype=bool)
+        else:
+            mask = np.asarray(padding_mask, dtype=bool)
+            keep = np.broadcast_to(mask, masked.shape).copy()
         return softmax(masked, axis=-1), keep
 
 
@@ -111,14 +131,17 @@ class RuntimePruningPolicy(ScorePolicy):
 
     def process(self, scores, padding_mask=None, q=None, k=None, scale=None):
         masked = _mask_scores(scores, padding_mask)
-        threshold = calibrate_threshold(masked, self.pruning_rate)
+        threshold = calibrate_thresholds(masked, self.pruning_rate)
         result = prune_scores(masked, threshold)
         return result.probabilities, result.keep_mask
 
-    def threshold_for(self, scores, padding_mask=None) -> float:
-        return calibrate_threshold(
+    def threshold_for(self, scores, padding_mask=None):
+        """Calibrated threshold: a float for one matrix, one per matrix
+        (shape ``scores.shape[:-2]``) for a stack."""
+        threshold = calibrate_thresholds(
             _mask_scores(scores, padding_mask), self.pruning_rate
         )
+        return float(threshold) if threshold.ndim == 0 else threshold
 
 
 @dataclass
@@ -171,16 +194,21 @@ class SprintPolicy(ScorePolicy):
                 q, k, msb_bits=self.msb_bits, scale=scale or 1.0
             )
         else:
-            approx = np.asarray(scores, dtype=np.float64)
+            approx = scores
         if self.score_bits is not None:
-            approx = quantize_scores(approx, self.score_bits)
+            approx = quantize_scores(approx, self.score_bits, axis=MATRIX_AXES)
         if self.noise_sigma > 0:
-            rng = np.random.default_rng(self.seed)
-            approx = approx + rng.normal(
-                0.0,
-                self.noise_sigma * float(np.std(scores)),
-                size=approx.shape,
+            # Every matrix gets the pattern a fresh default_rng(seed)
+            # draws, scaled by that matrix's own score spread.
+            per_matrix = scores.reshape(*scores.shape[:-2], -1)
+            spread = np.std(per_matrix, axis=-1, keepdims=True)[..., None]
+            noise = (self.noise_sigma * spread) * _standard_normal(
+                self.seed, approx.shape[-2:]
             )
+            # rng.normal(0.0, sigma) draws exactly 0.0 + sigma * z.
+            noise += 0.0
+            noise += approx
+            approx = noise
         return approx
 
     def process(self, scores, padding_mask=None, q=None, k=None, scale=None):
@@ -191,7 +219,7 @@ class SprintPolicy(ScorePolicy):
         masked_exact = _mask_scores(scores, padding_mask)
         masked_approx = _mask_scores(approx, padding_mask)
         threshold = (
-            calibrate_threshold(masked_exact, self.pruning_rate)
+            calibrate_thresholds(masked_exact, self.pruning_rate)
             - self.threshold_margin
         )
         value_scores = masked_exact if self.recompute else masked_approx

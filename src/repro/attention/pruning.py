@@ -12,7 +12,7 @@ approximate variant used for in-memory thresholding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -22,24 +22,26 @@ from repro.attention.quantization import quantize_scores
 
 @dataclass(frozen=True)
 class PruningResult:
-    """Outcome of a runtime-pruning pass over a score matrix.
+    """Outcome of a runtime-pruning pass over a score matrix or a stack.
 
     Attributes
     ----------
     keep_mask:
-        Boolean ``(s, s)``; ``True`` where the key survives for that query.
+        Boolean ``(..., s, s)``; ``True`` where the key survives for that
+        query.
     scores:
-        The ``(s, s)`` score matrix with pruned entries nullified.
+        The ``(..., s, s)`` scores with pruned entries nullified.
     probabilities:
         Softmax over :attr:`scores`.
     threshold:
-        The threshold the comparison used.
+        The threshold the comparison used: a float for one matrix, one
+        value per matrix (shape ``scores.shape[:-2]``) for a stack.
     """
 
     keep_mask: np.ndarray
     scores: np.ndarray
     probabilities: np.ndarray
-    threshold: float
+    threshold: Union[float, np.ndarray]
 
     @property
     def pruning_rate(self) -> float:
@@ -47,8 +49,8 @@ class PruningResult:
         return 1.0 - float(np.mean(self.keep_mask))
 
     def unpruned_counts(self) -> np.ndarray:
-        """Number of surviving keys per query (length ``s``)."""
-        return self.keep_mask.sum(axis=1)
+        """Number of surviving keys per query (shape ``(..., s)``)."""
+        return self.keep_mask.sum(axis=-1)
 
     def pruning_vectors(self) -> np.ndarray:
         """Binary pruning vectors as the hardware emits them.
@@ -59,6 +61,60 @@ class PruningResult:
         return (~self.keep_mask).astype(np.uint8)
 
 
+def masked_quantile(values: np.ndarray, valid: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(values[i][valid[i]], q)`` for every row ``i``, bitwise.
+
+    ``values`` and ``valid`` are ``(..., n)``; each row is reduced to
+    the ``q`` quantile of its valid entries, and every row needs at
+    least one.  This is numpy's default ("linear") method written out
+    over a whole stack at once: invalid entries are parked at ``+inf``,
+    one row-wise sort puts every row's order statistics in place (a
+    multi-``kth`` partition is slower than numpy's vectorized sort), and
+    numpy's own lerp formula interpolates between the two neighbours,
+    so each result equals the one-row ``np.quantile`` call to the bit.
+    The one exception is a zero result from a row holding zeros of both
+    signs: equal keys have no defined order, so the sign may differ.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    counts = np.count_nonzero(valid, axis=-1)
+    virtual = (counts - 1) * np.float64(q)
+    lower = np.floor(virtual)
+    # At the top order statistic numpy interpolates the last element
+    # with itself, taking the weight from index -1; the weight still
+    # picks the lerp branch, and so the sign of a zero result.
+    top = virtual >= counts - 1
+    gamma = virtual - np.where(top, -1.0, lower)
+    below = np.where(top, counts - 1, lower.astype(np.intp))
+    above = np.where(top, below, below + 1)
+    ordered = np.where(valid, values, np.inf)
+    ordered.sort(axis=-1)
+    a = np.take_along_axis(ordered, below[..., None], axis=-1)[..., 0]
+    b = np.take_along_axis(ordered, above[..., None], axis=-1)[..., 0]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
+def calibrate_thresholds(
+    scores: np.ndarray, target_pruning_rate: float
+) -> np.ndarray:
+    """Per-matrix :func:`calibrate_threshold` over a ``(..., s, s)`` stack.
+
+    Returns one threshold per matrix (shape ``scores.shape[:-2]``), each
+    what :func:`calibrate_threshold` returns for that matrix alone: the
+    quantile of its finite (unmasked) scores, to the bit (up to the sign
+    of a zero threshold, which no ``>=`` comparison can tell apart; see
+    :func:`masked_quantile`).
+    """
+    if not 0.0 <= target_pruning_rate < 1.0:
+        raise ValueError("target_pruning_rate must be in [0, 1)")
+    scores = np.asarray(scores, dtype=np.float64)
+    flat = scores.reshape(*scores.shape[:-2], -1)
+    finite = flat > NEG_INFINITY / 2
+    if not finite.any(axis=-1).all():
+        raise ValueError("no finite scores to calibrate against")
+    return masked_quantile(flat, finite, target_pruning_rate)
+
+
 def calibrate_threshold(scores: np.ndarray, target_pruning_rate: float) -> float:
     """Pick the threshold that yields ``target_pruning_rate`` on ``scores``.
 
@@ -66,6 +122,8 @@ def calibrate_threshold(scores: np.ndarray, target_pruning_rate: float) -> float
     resulting pruning rate per model (section VII).  Without the original
     fine-tuning pipeline we invert the relationship: given a calibration
     score sample, choose the quantile that reproduces the published rate.
+    All of ``scores`` is one sample, whatever its shape; see
+    :func:`calibrate_thresholds` for one threshold per matrix of a stack.
     """
     if not 0.0 <= target_pruning_rate < 1.0:
         raise ValueError("target_pruning_rate must be in [0, 1)")
@@ -88,10 +146,12 @@ def prune_scores(
     Parameters
     ----------
     scores:
-        Full-precision ``(s, s)`` pre-softmax scores.  These are the values
-        the surviving entries keep (the *recompute* path).
+        Full-precision ``(s, s)`` pre-softmax scores, or a ``(..., s, s)``
+        stack of them.  These are the values the surviving entries keep
+        (the *recompute* path).
     threshold:
-        Learned threshold ``Th``.
+        Learned threshold ``Th``: one float, or one value per matrix of
+        the stack (shape ``scores.shape[:-2]``).
     decision_scores:
         Scores used for the *comparison* only.  Pass the b-bit / noisy
         in-memory scores to model SPRINT's approximate thresholding; by
@@ -106,22 +166,25 @@ def prune_scores(
     decision_scores = np.asarray(decision_scores, dtype=np.float64)
     if decision_scores.shape != scores.shape:
         raise ValueError("decision_scores shape must match scores")
-    keep = decision_scores >= threshold
+    threshold = np.asarray(threshold, dtype=np.float64)
+    keep = decision_scores >= threshold[..., None, None]
     if keep_self:
-        np.fill_diagonal(keep, True)
+        diagonal = np.arange(min(keep.shape[-2:]))
+        keep[..., diagonal, diagonal] = True
     # Never prune everything in a row: keep the row maximum so softmax has
     # at least one finite entry (hardware equivalently falls back to the
     # strongest key when the analog comparator rejects all columns).
-    empty_rows = ~keep.any(axis=1)
+    empty_rows = ~keep.any(axis=-1)
     if np.any(empty_rows):
-        best = np.argmax(decision_scores[empty_rows], axis=1)
-        keep[np.nonzero(empty_rows)[0], best] = True
+        rows = np.nonzero(empty_rows)
+        best = np.argmax(decision_scores[rows], axis=-1)
+        keep[rows + (best,)] = True
     pruned = np.where(keep, scores, NEG_INFINITY)
     return PruningResult(
         keep_mask=keep,
         scores=pruned,
         probabilities=softmax(pruned, axis=-1),
-        threshold=float(threshold),
+        threshold=float(threshold) if threshold.ndim == 0 else threshold,
     )
 
 

@@ -5,6 +5,10 @@ responds realistically to perturbations of the attention distribution.
 This encoder accepts a :class:`repro.attention.policies.ScorePolicy`
 at inference time, so the same forward pass evaluates the software
 baseline, ideal runtime pruning, SPRINT, and the no-recompute ablation.
+Each attention layer makes one policy call over all of its heads: the
+scores go in as an ``(H, s, s)`` stack (with ``(H, s, d)`` query/key
+operands and one ``(s, s)`` padding mask), and the policy treats every
+head's matrix on its own.
 
 Weights are *constructed*, not trained: inputs carry planted class-signal
 directions and a salience component that query/key projections preserve,
@@ -21,6 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.attention.functional import softmax
+from repro.attention.heads import merge_heads, split_heads
 from repro.attention.policies import ExactPolicy, ScorePolicy
 
 
@@ -99,15 +104,6 @@ class TransformerClassifier:
     # ------------------------------------------------------------------
     # forward pieces
     # ------------------------------------------------------------------
-    def _head_scores(
-        self, x: np.ndarray, layer: _LayerWeights, head: int
-    ) -> np.ndarray:
-        d = self.config.head_dim
-        sl = slice(head * d, (head + 1) * d)
-        q = (x @ layer.w_q)[:, sl]
-        k = (x @ layer.w_k)[:, sl]
-        return (q @ k.T) / np.sqrt(d)
-
     def _attention_layer(
         self,
         x: np.ndarray,
@@ -115,22 +111,16 @@ class TransformerClassifier:
         policy: ScorePolicy,
         padding_mask: Optional[np.ndarray],
     ) -> np.ndarray:
-        d = self.config.head_dim
-        v_all = x @ layer.w_v
-        q_all = x @ layer.w_q
-        k_all = x @ layer.w_k
-        scale = 1.0 / np.sqrt(d)
-        out = np.empty_like(x)
-        for head in range(self.config.num_heads):
-            sl = slice(head * d, (head + 1) * d)
-            q = q_all[:, sl]
-            k = k_all[:, sl]
-            scores = (q @ k.T) * scale
-            probabilities, _ = policy.process(
-                scores, padding_mask, q=q, k=k, scale=scale
-            )
-            out[:, sl] = probabilities @ v_all[:, sl]
-        return out @ layer.w_o
+        """One policy call over the layer's ``(H, s, s)`` score stack."""
+        heads = self.config.num_heads
+        q = split_heads(x @ layer.w_q, heads)
+        k = split_heads(x @ layer.w_k, heads)
+        v = split_heads(x @ layer.w_v, heads)
+        scale = 1.0 / np.sqrt(self.config.head_dim)
+        scores = q @ k.transpose(0, 2, 1)
+        scores *= scale
+        probabilities, _ = policy.process(scores, padding_mask, q=q, k=k, scale=scale)
+        return merge_heads(probabilities @ v) @ layer.w_o
 
     @staticmethod
     def _layer_norm(x: np.ndarray) -> np.ndarray:
@@ -222,7 +212,6 @@ class TransformerClassifier:
             raise IndexError("layer_index out of range")
         h = np.asarray(x, dtype=np.float64)
         layer = self.layers[layer_index]
-        return [
-            self._head_scores(h, layer, head)
-            for head in range(self.config.num_heads)
-        ]
+        q = split_heads(h @ layer.w_q, self.config.num_heads)
+        k = split_heads(h @ layer.w_k, self.config.num_heads)
+        return list((q @ k.transpose(0, 2, 1)) / np.sqrt(self.config.head_dim))

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.obs.trace import TraceRecorder
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
-from repro.serving.requests import RequestRecord, RequestTable
+from repro.serving.requests import RequestRecord, RequestTable, has_duplicate_ids
 from repro.serving.scheduler import ServingResult
 
 
@@ -452,6 +452,10 @@ def simulate_table(
     customizes its :class:`~repro.serving.faults.RetryPolicy`.  With
     ``faults=None`` the no-fault fast path below runs untouched.
     """
+    # Checked before routing so every route rejects it, including the
+    # fault route, which does not use it.
+    if threads < 1:
+        raise ValueError("threads must be positive")
     if faults is not None:
         from repro.serving.faults import simulate_faulty_table
 
@@ -502,9 +506,7 @@ def simulate_table(
         raise ValueError("max_batch_size must be positive")
     if max_wait_s < 0:
         raise ValueError("max_wait_s must be non-negative")
-    if threads < 1:
-        raise ValueError("threads must be positive")
-    if np.unique(table.request_id).size != len(table):
+    if has_duplicate_ids(table.request_id):
         raise ValueError("duplicate request id in stream")
 
     order = np.lexsort((table.request_id, table.arrival_s))
@@ -1018,7 +1020,7 @@ def simulate_stream(
             request_id = chunk.request_id[order]
             spec_idx = chunk.spec_idx[order]
             valid_len = chunk.valid_len[order]
-            if np.unique(request_id).size != request_id.size:
+            if has_duplicate_ids(request_id):
                 raise ValueError("duplicate request id in chunk")
             if specs is None:
                 specs = list(chunk.specs)

@@ -154,6 +154,16 @@ class Batch:
         return max(r.valid_len for r in self.requests)
 
 
+def has_duplicate_ids(ids: np.ndarray) -> bool:
+    """Whether any id repeats: a sort plus an adjacent compare.
+
+    Same answer as ``np.unique(ids).size != ids.size`` at a small
+    fraction of its cost on large tables.
+    """
+    ordered = np.sort(ids)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 @dataclass
 class RequestTable:
     """A request stream as struct-of-arrays numpy columns.

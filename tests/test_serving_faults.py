@@ -32,6 +32,7 @@ from repro.serving import (
     generate_request_table,
     simulate_faulty_stream,
     simulate_faulty_table,
+    simulate_stream,
     simulate_table,
     summarize,
     summarize_stream,
@@ -605,6 +606,57 @@ class TestValidation:
             mk("poisson", -5.0)
         with pytest.raises(ValueError, match="rate_rps"):
             PoissonProcess(rate_rps=-1.0)
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["no-fault", "fault"])
+    @pytest.mark.parametrize("generative", [False, True], ids=["prefill", "decode"])
+    @pytest.mark.parametrize("route", ["table", "stream"])
+    def test_zero_threads_rejected_on_every_route(
+        self, cost_model, route, generative, faults
+    ):
+        table = generate_request_table(
+            PoissonProcess(120.0),
+            "BERT-B",
+            count=20,
+            seed=0,
+            mean_output_tokens=4.0 if generative else None,
+        )
+        kwargs = {"faults": FaultSchedule.none(1)} if faults else {}
+        with pytest.raises(ValueError, match="threads"):
+            if route == "table":
+                simulate_table(table, cost_model, threads=0, **kwargs)
+            else:
+                simulate_stream([table], cost_model, threads=0, **kwargs)
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["no-fault", "fault"])
+    @pytest.mark.parametrize("generative", [False, True], ids=["prefill", "decode"])
+    @pytest.mark.parametrize("route", ["table", "stream"])
+    def test_duplicate_request_id_rejected_on_every_route(
+        self, cost_model, route, generative, faults
+    ):
+        table = generate_request_table(
+            PoissonProcess(120.0),
+            "BERT-B",
+            count=20,
+            seed=0,
+            mean_output_tokens=4.0 if generative else None,
+        )
+        table.request_id = table.request_id.copy()
+        table.request_id[3] = table.request_id[11]
+        kwargs = {"faults": FaultSchedule.none(1)} if faults else {}
+        with pytest.raises(ValueError, match="duplicate request id"):
+            if route == "table":
+                simulate_table(table, cost_model, **kwargs)
+            else:
+                simulate_stream([table], cost_model, **kwargs)
+
+    def test_has_duplicate_ids_matches_unique(self):
+        from repro.serving.requests import has_duplicate_ids
+
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 2, 17, 500):
+            for high in (2, n + 1, 10 * n + 1):
+                ids = rng.integers(0, high, size=n)
+                assert has_duplicate_ids(ids) == (np.unique(ids).size != n)
 
     def test_retry_without_faults_rejected(self, cost_model, table):
         with pytest.raises(ValueError, match="retry"):
