@@ -53,7 +53,10 @@ once their per-request deadline passes, and :func:`summarize` /
 :func:`summarize_stream` report availability, goodput, retries, and
 wasted energy.  ``simulate_table`` / ``simulate_stream`` take
 ``faults=`` / ``retry=`` and stay bitwise-equal to the fault-threaded
-reference loops; with no schedule the fast paths are untouched.
+reference loops: the columnar side runs the decode engine's one event
+core with the schedule in force (prefill traffic as the
+``output_len == 1`` case), macro-stepping up to each device's next
+outage.  With no schedule the fast paths are untouched.
 
 Both paths accept an optional :class:`repro.obs.trace.TraceRecorder`
 for sim-time request tracing, and :func:`summarize` can fold latency

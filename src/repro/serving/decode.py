@@ -33,10 +33,15 @@ Seal rules are the reference batcher's, at step granularity: a queue
 seals on ``max_batch_size`` members or when its oldest step has waited
 ``max_wait_s``; prefill and decode steps never share a batch; when no
 future step can ever join, pending queues flush immediately.
+
+The same event core serves fault injection: the entry points in
+:mod:`repro.serving.faults` run it with a device outage schedule and a
+retry policy in force, macro-stepping included.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -47,6 +52,7 @@ import numpy as np
 
 from repro.obs.trace import TraceRecorder
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
+from repro.serving.events import EventKind
 from repro.serving.requests import Request, RequestTable, has_duplicate_ids
 from repro.serving.scheduler import DecodeRecord, GenerativeResult
 
@@ -68,6 +74,24 @@ _FIN = 11     # finish (last token)
 _DSLOT = 12   # summed decode batch occupancy
 _ROW = 13     # global row index (sorted order)
 _QID = 14     # name-keyed queue id (duplicate-name specs share one)
+_FLS = 15     # lost dispatches so far (fault schedules only)
+_ADL = 16     # absolute deadline: arrival + deadline_s (inf if none)
+
+# Heap priorities as plain ints (ARRIVAL never enters the heap:
+# arrivals feed in sorted).
+_P_DONE = int(EventKind.DEVICE_DONE)
+_P_TIMEOUT = int(EventKind.BATCH_TIMEOUT)
+_P_FAILED = int(EventKind.BATCH_FAILED)
+_P_RECOVERY = int(EventKind.RECOVERY)
+_P_RETRY = int(EventKind.RETRY)
+
+#: Drop-reason codes of ``_DecodeCore.dropped`` (0 = completed).
+DROP_NONE = 0
+DROP_RETRIES = 1
+DROP_DEADLINE = 2
+DROP_STRANDED = 3
+
+_INF = float("inf")
 
 
 @dataclass
@@ -306,8 +330,20 @@ class _DecodeCore:
     timeouts, and completed per-request records accumulate in
     ``self.completed`` (the callers drain it).  Event ordering --
     (time, priority, push order) with DEVICE_DONE < ARRIVAL <
-    BATCH_TIMEOUT at equal instants -- matches the reference
-    :class:`~repro.serving.events.EventQueue` exactly.
+    BATCH_TIMEOUT < BATCH_FAILED < RECOVERY < RETRY at equal instants
+    -- matches the reference :class:`~repro.serving.events.EventQueue`
+    exactly.
+
+    An optional ``(schedule, retry)`` pair puts a
+    :class:`~repro.serving.faults.FaultSchedule` in force.  Dispatch
+    then takes the lowest-index device that is free *and up*; a batch
+    whose device goes down before it would finish is lost at the
+    failure instant (BATCH_FAILED), and its members retry under
+    ``retry`` (RETRY events) or land in ``self.dropped``; recovery
+    instants are heap events that re-trigger dispatch.  Prefill tables
+    run as the ``output_len == 1`` case.  Without a schedule, no
+    fault event exists and every next-down bound is ``inf``, so the
+    fault-free loop does no schedule work.
     """
 
     def __init__(
@@ -318,19 +354,35 @@ class _DecodeCore:
         max_batch_size: int,
         max_wait_s: float,
         setup_cycles: int,
+        schedule=None,
+        retry=None,
     ):
         self.specs = specs
         self.queue_specs, self.queue_of_spec = _queue_map(specs)
         self.cost_model = cost_model
         self.num_devices = num_devices
+        #: Dispatch scans devices in index order (lowest free one wins).
+        self.device_ids = range(num_devices)
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_s
         self.zero_wait = max_wait_s == 0
         self.setup_cycles = setup_cycles
         self.frequency_hz = cost_model.config.frequency_ghz * 1e9
+        self.traces = None if schedule is None else schedule.traces
+        self.retry = retry
+        # Each device's next outage start, cached while it is up: a
+        # device is known up at ``now`` while ``now < up_until[d]``
+        # (and known down while ``now < down_until[d]``; see
+        # :meth:`_refresh_up`).  With a schedule every entry starts
+        # stale; without one ``up_until`` is inf forever, so
+        # availability checks never touch a trace and every next-down
+        # bound is inf.
+        self.up_until = [_INF if schedule is None else -_INF] * num_devices
+        self.down_until = [-_INF] * num_devices
 
-        # (time, priority, seq, payload); priority 0 = DEVICE_DONE
-        # (payload: sealed batch), 2 = BATCH_TIMEOUT (payload: None).
+        # (time, priority, seq, payload); payloads: sealed batch for
+        # DEVICE_DONE / BATCH_FAILED, (record, context) for RETRY, the
+        # device for RECOVERY, None for BATCH_TIMEOUT.
         self.heap: list = []
         self.seq = 0
         # (queue id, decode?) -> [ready times, records, contexts,
@@ -341,12 +393,15 @@ class _DecodeCore:
         self.queues: dict = {}
         # Sealed batches awaiting a device, FIFO.  Entries are mutable
         # lists [decode?, records, contexts, service_s, energy_pj,
-        # macro_steps, min_left, max_ctx]: ``macro_steps`` counts
-        # decode steps advanced without touching the per-member
-        # records (stamped lazily at the next scalar event),
-        # ``min_left`` is the fewest steps any member still has from
-        # the materialized contexts minus ``macro_steps``, and
-        # ``max_ctx`` tracks the batch's current max context.
+        # macro_steps, min_left, max_ctx, sealed_s, rejoiners]:
+        # ``service_s`` / ``energy_pj`` price the sealed step (only
+        # dispatch reads them), ``macro_steps`` counts decode steps
+        # advanced without touching the per-member records (stamped
+        # lazily at the next scalar event), ``min_left`` is the fewest
+        # steps any member still has from the materialized contexts
+        # minus ``macro_steps``, ``max_ctx`` tracks the batch's current
+        # max context, and ``sealed_s`` / ``rejoiners`` serve stranding
+        # and failure accounting.
         self.ready: deque = deque()
         self.free_at = [0.0] * num_devices
         #: min(free_at), maintained on every assignment: the dispatch
@@ -371,7 +426,10 @@ class _DecodeCore:
         # admission -- so the contract is over outcomes, not pushes).
         self.deferred_to: deque = deque()
         self.completed: list = []
+        #: (record, drop-reason code, drop instant), in event order.
+        self.dropped: list = []
         self.in_flight_rejoiners = 0
+        self.pending_retries = 0
         self.arrivals_done = False
         self.last_now = 0.0
         self.steps_in = 0
@@ -380,7 +438,23 @@ class _DecodeCore:
         self.decode_batches = 0
         self.size_triggered = 0
         self.timeout_triggered = 0
+        self.retries = 0
+        self.failed_batches = 0
+        self.wasted_energy_pj = 0.0
+        #: (request id, retry instant, attempt number, model name).
+        self.retry_events: list = []
         self.end_s = -np.inf
+        if schedule is not None:
+            # One RECOVERY per device is pending at a time (the next is
+            # pushed as each pops), which keeps the heap shallow.  A
+            # recovery changes no state -- it only re-triggers dispatch
+            # -- so push order among equal instants cannot matter.
+            self.recoveries = [
+                deque(up for up in trace.up_s if up < _INF)
+                for trace in schedule.traces
+            ]
+            for dev in range(num_devices):
+                self._next_recovery(dev)
 
     # ------------------------------------------------------------------
     def _vectors(self, qid: int, decode: bool, max_ctx: int):
@@ -430,9 +504,13 @@ class _DecodeCore:
                 rec[_PFB] = now
                 rec[_PFSZ] = size
         self.in_flight_rejoiners += rejoiners
-        self.ready.append([decode, recs, ctxs, service, energy, 0, left, mx])
+        self.ready.append(
+            [decode, recs, ctxs, service, energy, 0, left, mx, now, rejoiners]
+        )
 
-    def _admit(self, rec, ctx: int, decode: bool, now: float) -> None:
+    def _admit(self, rec, ctx: int, decode: bool, now: float, limit: float) -> None:
+        """Queue one step; a new queue's timeout is pushed now only if
+        it falls before ``limit`` (the next arrival), else deferred."""
         self.steps_in += 1
         key = (rec[_QID], decode)
         queues = self.queues
@@ -443,7 +521,12 @@ class _DecodeCore:
             if self.max_batch_size <= 1:
                 self._seal(key, now, by_size=True)
             elif self.max_wait_s > 0:
-                self.deferred_to.append((now + self.max_wait_s, key))
+                deadline = now + self.max_wait_s
+                if deadline < limit:
+                    heappush(self.heap, (deadline, _P_TIMEOUT, self.seq, None))
+                    self.seq += 1
+                else:
+                    self.deferred_to.append((deadline, key))
         else:
             q[0].append(now)
             q[1].append(rec)
@@ -465,23 +548,62 @@ class _DecodeCore:
         for key in due:
             self._seal(key, now, by_size=False)
 
+    def _refresh_up(self, dev: int, now: float) -> bool:
+        """Re-cache ``dev``'s next outage start; False if down at ``now``.
+
+        Callers pass event instants, which never decrease, so an entry
+        cached at an earlier instant stays valid until it is reached.
+        """
+        if now < self.down_until[dev]:
+            return False
+        trace = self.traces[dev]
+        downs = trace.down_s
+        idx = bisect_right(downs, now)
+        if idx and now < trace.up_s[idx - 1]:
+            self.down_until[dev] = trace.up_s[idx - 1]
+            return False
+        self.up_until[dev] = downs[idx] if idx < len(downs) else _INF
+        return True
+
+    def _next_recovery(self, dev: int) -> None:
+        """Push ``dev``'s next RECOVERY event, if it has one left."""
+        pending = self.recoveries[dev]
+        if pending:
+            heappush(self.heap, (pending.popleft(), _P_RECOVERY, self.seq, dev))
+            self.seq += 1
+
     def _dispatch(self, now: float) -> None:
         ready = self.ready
         if not ready or self.min_free_at > now:
             return
         free_at = self.free_at
+        up_until = self.up_until
         while ready:
-            dev = -1
-            for d in range(self.num_devices):
-                if free_at[d] <= now:
-                    dev = d
+            # The lowest-index device free and up at ``now``.
+            for dev in self.device_ids:
+                if free_at[dev] <= now and (
+                    now < up_until[dev] or self._refresh_up(dev, now)
+                ):
                     break
-            if dev < 0:
+            else:
                 return
             batch = ready.popleft()
             recs = batch[1]
             service = batch[3]
             finish = now + service
+            if up_until[dev] < finish:
+                # Preordained loss: the device dies mid-batch.  It
+                # stays occupied until the failure; the partial work's
+                # energy is wasted, not delivered.
+                fail = up_until[dev]
+                free_at[dev] = fail
+                self.min_free_at = min(free_at)
+                self.busy_s[dev] += fail - now
+                self.wasted_energy_pj += batch[4] * len(recs) * ((fail - now) / service)
+                self.failed_batches += 1
+                heappush(self.heap, (fail, _P_FAILED, self.seq, batch))
+                self.seq += 1
+                continue
             free_at[dev] = finish
             self.min_free_at = min(free_at)
             self.busy_s[dev] += service
@@ -490,7 +612,7 @@ class _DecodeCore:
                 for rec in recs:
                     rec[_PFS] = now
                     rec[_PFD] = dev
-            heappush(self.heap, (finish, 0, self.seq, batch))
+            heappush(self.heap, (finish, _P_DONE, self.seq, batch))
             self.seq += 1
 
     def _macro_run(self, batch, now: float, limit: float) -> bool:
@@ -501,15 +623,23 @@ class _DecodeCore:
         other members are pending, so until the next arrival
         (``limit``), the next foreign heap event, or a member's last
         token, every event is this batch's own reseal cycle and its
-        membership is fixed.  The run advances as one plain-float
-        chain: each iteration is the exact arithmetic of one scalar
-        reseal cycle (rejoin, seal, dispatch) priced off the queue's
-        context-indexed cost lists, so every finish instant and the
-        busy/energy folds are bitwise the reference loop's
-        one-event-at-a-time accumulation -- without touching the heap,
-        the queue dict, or the per-member records.  Returns False when
-        no full reseal fits before the bounds (the caller falls back
-        to the scalar handler).
+        membership is fixed.  Under a fault schedule, recoveries,
+        retries and failures are heap events too, so the foreign-event
+        bound covers them.  Every reseal dispatches to the device the
+        scalar scan would pick: the lowest-index one free *and up* at
+        ``now``.  One more bound keeps failures scalar: a step is taken
+        only while ``step_start + service <= fail``, with ``fail`` that
+        device's next outage start (``inf`` without a schedule), so a
+        step that would be lost always runs through :meth:`_dispatch`.
+
+        The run advances as one plain-float chain: each iteration is
+        the exact arithmetic of one scalar reseal cycle (rejoin, seal,
+        dispatch) priced off the queue's context-indexed cost lists, so
+        every finish instant and the busy/energy folds are bitwise the
+        reference loop's one-event-at-a-time accumulation -- without
+        touching the heap, the queue dict, or the per-member records.
+        Returns False when no full reseal fits before the bounds (the
+        caller falls back to the scalar handler).
         """
         recs = batch[1]
         size = len(recs)
@@ -525,11 +655,15 @@ class _DecodeCore:
         # After arrivals end, the end-of-stream flush only seals a
         # rejoin queue instantly when no OTHER batch still has pending
         # rejoiners in flight (our own ``size`` members rejoin at each
-        # step and do not block it).
+        # step and do not block it) and no retry is pending.
         instant = (
             by_size
             or self.zero_wait
-            or (self.arrivals_done and self.in_flight_rejoiners == size)
+            or (
+                self.arrivals_done
+                and self.in_flight_rejoiners == size
+                and self.pending_retries == 0
+            )
         )
         heap = self.heap
         # The next foreign heap event bounds the run strictly: at equal
@@ -542,6 +676,20 @@ class _DecodeCore:
             or (t2 is not None and now + self.max_wait_s >= t2)
         ):
             return False
+        # Every reseal dispatches to the same device: the lowest-index
+        # one free (and up) at ``now`` -- exactly the scalar _dispatch
+        # scan -- since no other device frees or recovers before the
+        # run's bound.
+        free_at = self.free_at
+        up_until = self.up_until
+        dev = 0
+        while free_at[dev] > now or not (
+            now < up_until[dev] or self._refresh_up(dev, now)
+        ):
+            dev += 1
+            if dev == self.num_devices:
+                return False
+        fail = up_until[dev]
         if queues:
             # Other pending queues are safe spectators -- they only
             # seal at their own deadline or on an arrival, both of
@@ -559,24 +707,17 @@ class _DecodeCore:
                     break
                 deferred.popleft()
         # Stop one step short of the earliest member's last token: the
-        # completion step changes membership, so it runs scalar.
-        last = left - 1
-        cyc_vec, en_vec = self._vectors(qid, True, mx + last)
+        # completion step changes membership, so it runs scalar.  The
+        # loops count steps by cost-vector index: step k (from 1) of
+        # the run is priced at context ``mx + k``.
+        end = mx + left - 1
+        cyc_vec, en_vec = self._vectors(qid, True, end)
         setup = self.setup_cycles
         freq = self.frequency_hz
-        # Every reseal dispatches to the same device: the lowest-index
-        # one free at ``now`` (ours, or an idle lower index -- exactly
-        # the scalar _dispatch scan), and no other device frees before
-        # the run's bound.
-        free_at = self.free_at
-        dev = 0
-        while free_at[dev] > now:
-            dev += 1
         busy = self.busy_s[dev]
         energy = self.energy_pj[dev]
-        m = 0
+        idx = mx
         fin = now  # the pending (in-flight) DONE instant
-        s = 0.0
         if instant:
             # Full batch, zero wait, or end-of-stream flush: each DONE
             # reseals and redispatches at the same instant, so finish
@@ -591,15 +732,19 @@ class _DecodeCore:
                 strict = True
             prev = now
             while True:
-                idx = mx + m + 1
-                s = (setup + cyc_vec[idx] * size) / freq
+                s = (setup + cyc_vec[idx + 1] * size) / freq
+                nxt = fin + s
+                if nxt > fail:
+                    break
+                idx += 1
                 busy += s
                 energy += en_vec[idx] * size
                 prev = fin
-                fin += s
-                m += 1
-                if m == last or fin > hi or (strict and fin == hi):
+                fin = nxt
+                if idx == end or fin > hi or (strict and fin == hi):
                     break
+            if idx == mx:
+                return False
             self.end_s = prev
             self.last_now = prev
         else:
@@ -616,21 +761,24 @@ class _DecodeCore:
                 ts = fin + w
                 if ts >= hi:
                     break
-                idx = mx + m + 1
-                s = (setup + cyc_vec[idx] * size) / freq
+                s = (setup + cyc_vec[idx + 1] * size) / freq
+                nxt = ts + s
+                if nxt > fail:
+                    break
+                idx += 1
                 busy += s
                 energy += en_vec[idx] * size
                 prev_fin = fin
                 t_seal = ts
-                fin = ts + s
-                m += 1
-                if m == last:
+                fin = nxt
+                if idx == end:
                     break
-            if m < 1:
+            if idx == mx:
                 return False
-            if m >= 2:
+            if idx - mx >= 2:
                 self.end_s = prev_fin
             self.last_now = t_seal
+        m = idx - mx
         self.busy_s[dev] = busy
         self.energy_pj[dev] = energy
         free_at[dev] = fin
@@ -642,18 +790,40 @@ class _DecodeCore:
         else:
             self.timeout_triggered += m
         self.steps_in += size * m
-        batch[3] = s
-        batch[4] = en_vec[mx + m]
         batch[5] += m
         batch[6] = left - m
-        batch[7] = mx + m
-        heappush(self.heap, (fin, 0, self.seq, batch))
+        batch[7] = idx
+        heappush(heap, (fin, _P_DONE, self.seq, batch))
         self.seq += 1
         return True
 
+    def _fail(self, batch, now: float) -> None:
+        """BATCH_FAILED: every member retries under the policy or drops."""
+        self.in_flight_rejoiners -= batch[9]
+        retry = self.retry
+        recs, ctxs = batch[1], batch[2]
+        for k in range(len(recs)):
+            rec = recs[k]
+            f = rec[_FLS] + 1
+            rec[_FLS] = f
+            if f >= retry.max_attempts:
+                self.dropped.append((rec, DROP_RETRIES, now))
+                continue
+            retry_at = now + retry.backoff_s(f)
+            if retry_at > rec[_ADL]:
+                self.dropped.append((rec, DROP_DEADLINE, now))
+                continue
+            self.retries += 1
+            self.pending_retries += 1
+            self.retry_events.append(
+                (rec[_RID], retry_at, f + 1, self.queue_specs[rec[_QID]].name)
+            )
+            heappush(self.heap, (retry_at, _P_RETRY, self.seq, (rec, ctxs[k])))
+            self.seq += 1
+
     def _handle_heap_event(self, limit: float) -> None:
         now, priority, _, batch = heappop(self.heap)
-        if priority == 0:  # DEVICE_DONE
+        if priority == _P_DONE:
             if now > self.end_s:
                 self.end_s = now
             if (
@@ -725,24 +895,42 @@ class _DecodeCore:
                 # timeout event at all.
                 for key in created:
                     if key in queues:
-                        heappush(self.heap, (now + w, 2, self.seq, None))
+                        heappush(self.heap, (now + w, _P_TIMEOUT, self.seq, None))
                         self.seq += 1
             self.in_flight_rejoiners -= rejoined
             self.steps_in += rejoined
-        elif self.queues:  # BATCH_TIMEOUT
-            self._flush_due(now)
+        elif batch is None:  # BATCH_TIMEOUT, the one payload-free kind
+            if self.queues:
+                self._flush_due(now)
+        elif priority == _P_FAILED:
+            self._fail(batch, now)
+        elif priority == _P_RETRY:
+            self.pending_retries -= 1
+            rec, ctx = batch
+            self._admit(rec, ctx, ctx > rec[_VLEN], now, limit)
+        elif priority == _P_RECOVERY:
+            # No state change: up/down is a pure function of time; the
+            # event re-triggers dispatch (payload: the device).
+            self._next_recovery(batch)
         # _after_event, inlined (this handler is the hot loop).
         self.last_now = now
         if self.zero_wait and self.queues:
             self._flush_due(now)
-        if self.arrivals_done and self.in_flight_rejoiners == 0 and self.queues:
+        if (
+            self.arrivals_done
+            and self.in_flight_rejoiners == 0
+            and self.queues
+            and self.pending_retries == 0
+        ):
             for key in list(self.queues):
                 self._seal(key, now, by_size=False)
         if self.ready:
             self._dispatch(now)
 
     # ------------------------------------------------------------------
-    def run_arrivals(self, rid, arr, spec_i, vlen, olen, row_base: int):
+    def run_arrivals(
+        self, rid, arr, spec_i, vlen, olen, row_base: int, deadline_s=None
+    ):
         """Feed one chunk of sorted arrivals through the event loop.
 
         Heap events strictly preceding each arrival (in the reference
@@ -751,7 +939,8 @@ class _DecodeCore:
         or :meth:`finalize`.  Deferred queue-creation timeouts whose
         deadline the loop is about to reach are pushed first -- only
         for queues still alive, which is what lets size-sealed queues
-        skip their timeout events entirely.
+        skip their timeout events entirely.  ``deadline_s`` (relative
+        to arrival) only gates retries under a fault schedule.
         """
         heap = self.heap
         queues = self.queues
@@ -763,7 +952,7 @@ class _DecodeCore:
             while deferred and deferred[0][0] <= t:
                 deadline, key = deferred.popleft()
                 if key in queues:
-                    heappush(heap, (deadline, 2, self.seq, None))
+                    heappush(heap, (deadline, _P_TIMEOUT, self.seq, None))
                     self.seq += 1
             while heap and (heap[0][0] < t or (heap[0][0] == t and heap[0][1] == 0)):
                 self._handle_heap_event(t)
@@ -786,8 +975,10 @@ class _DecodeCore:
                 0,
                 row_base + i,
                 qmap[s],
+                0,
+                _INF if deadline_s is None else t + float(deadline_s[i]),
             ]
-            self._admit(rec, v, False, t)
+            self._admit(rec, v, False, t, t)
             # _after_event, inlined (arrivals_done is False here, so
             # the end-of-stream flush can never apply).
             self.last_now = t
@@ -797,9 +988,14 @@ class _DecodeCore:
                 self._dispatch(t)
 
     def finalize(self) -> None:
-        """No further arrivals: apply the tail flush and drain the heap."""
+        """No further arrivals: apply the tail flush and drain the heap.
+
+        Under a fault schedule, batches still sealed when the heap
+        runs dry have no device left to ever run them (the whole fleet
+        is down for good): their members strand at the seal instant.
+        """
         self.arrivals_done = True
-        if self.in_flight_rejoiners == 0 and self.queues:
+        if self.in_flight_rejoiners == 0 and self.pending_retries == 0 and self.queues:
             # The end-of-stream flush the monolithic loop would have
             # applied at the last processed event.
             now = self.last_now
@@ -810,13 +1006,17 @@ class _DecodeCore:
         while deferred:
             deadline, key = deferred.popleft()
             if key in self.queues:
-                heappush(self.heap, (deadline, 2, self.seq, None))
+                heappush(self.heap, (deadline, _P_TIMEOUT, self.seq, None))
                 self.seq += 1
-        inf = float("inf")
         while self.heap:
-            self._handle_heap_event(inf)
-        assert not self.ready and not self.queues
-        assert self.in_flight_rejoiners == 0
+            self._handle_heap_event(_INF)
+        while self.ready:
+            batch = self.ready.popleft()
+            self.in_flight_rejoiners -= batch[9]
+            for rec in batch[1]:
+                self.dropped.append((rec, DROP_STRANDED, batch[8]))
+        assert not self.queues
+        assert self.in_flight_rejoiners == 0 and self.pending_retries == 0
 
 
 def _validate_knobs(num_devices, max_batch_size, max_wait_s, threads=1):
@@ -915,6 +1115,7 @@ def simulate_decode_table(
             max_wait_s=max_wait_s,
             setup_cycles=setup_cycles,
             recorder=recorder,
+            threads=threads,
         )
     if retry is not None:
         raise ValueError("a retry policy requires a fault schedule")
@@ -1093,6 +1294,7 @@ def simulate_decode_stream(
             max_wait_s=max_wait_s,
             setup_cycles=setup_cycles,
             sink=sink,
+            threads=threads,
         )
     if retry is not None:
         raise ValueError("a retry policy requires a fault schedule")

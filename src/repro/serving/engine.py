@@ -446,14 +446,16 @@ def simulate_table(
     sorted table.
 
     ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`) routes
-    to the unified fault-mode event core
-    (:func:`~repro.serving.faults.simulate_faulty_table`) and returns a
+    prefill and generative tables alike to
+    :func:`~repro.serving.faults.simulate_faulty_table` -- the decode
+    engine's event core with the schedule in force, macro-stepping
+    included -- and returns a
     :class:`~repro.serving.faults.FaultColumnarResult`; ``retry``
-    customizes its :class:`~repro.serving.faults.RetryPolicy`.  With
+    customizes its :class:`~repro.serving.faults.RetryPolicy`, and
+    ``threads`` parallelizes its phase 1 as on the decode route.  With
     ``faults=None`` the no-fault fast path below runs untouched.
     """
-    # Checked before routing so every route rejects it, including the
-    # fault route, which does not use it.
+    # Checked before routing so every route rejects it the same way.
     if threads < 1:
         raise ValueError("threads must be positive")
     if faults is not None:
@@ -473,6 +475,7 @@ def simulate_table(
             max_wait_s=max_wait_s,
             setup_cycles=setup_cycles,
             recorder=recorder,
+            threads=threads,
         )
     if retry is not None:
         raise ValueError("a retry policy requires a fault schedule")
@@ -864,10 +867,12 @@ def simulate_stream(
     DecodeCompletedChunk` columns and the call returns a
     :class:`~repro.serving.decode.DecodeStreamedResult`.
 
-    With a ``faults`` schedule the run routes to the fault-injection
-    engine (:func:`repro.serving.faults.simulate_faulty_stream`):
-    ``sink`` then receives :class:`~repro.serving.faults.
-    FaultCompletedChunk` columns and the call returns a
+    With a ``faults`` schedule the run routes to
+    :func:`repro.serving.faults.simulate_faulty_stream`, which feeds
+    the chunks through the decode engine's event core with the
+    schedule in force (``threads`` as on the decode route): ``sink``
+    then receives :class:`~repro.serving.faults.FaultCompletedChunk`
+    columns and the call returns a
     :class:`~repro.serving.faults.FaultStreamedResult`.
 
     Consumes ``RequestTable`` chunks in arrival order (e.g. from
@@ -912,6 +917,7 @@ def simulate_stream(
             max_wait_s=max_wait_s,
             setup_cycles=setup_cycles,
             sink=sink,
+            threads=threads,
         )
     if retry is not None:
         raise ValueError("a retry policy requires a fault schedule")

@@ -11,6 +11,8 @@ across engines, and the no-faults guarantee: an empty schedule changes
 nothing, and the fault-free fast path is never perturbed.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,8 @@ from repro.serving import (
     summarize,
     summarize_stream,
 )
+from repro.serving import faults as faults_module
+from repro.serving.decode import _DecodeCore
 
 SEEDS = (0, 1, 7)
 DEVICE_COUNTS = (1, 2, 4)
@@ -297,6 +301,182 @@ class TestFaultEquivalence:
 
 
 # ----------------------------------------------------------------------
+# macro-stepping survives a fault schedule (decode-heavy traffic)
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def macro_runs(monkeypatch):
+    """Record every successful macro run as (start, last DONE, device)."""
+    runs = []
+    original = _DecodeCore._macro_run
+
+    def recorded(self, batch, now, limit):
+        before = list(self.free_at)
+        advanced = original(self, batch, now, limit)
+        if advanced:
+            dev = next(d for d, t in enumerate(before) if self.free_at[d] != t)
+            runs.append((now, self.free_at[dev], dev))
+        return advanced
+
+    monkeypatch.setattr(_DecodeCore, "_macro_run", recorded)
+    return runs
+
+
+@pytest.fixture()
+def step_log(monkeypatch):
+    """Record every reference token step as (device, start, finish, decode)."""
+    steps = []
+    original = SprintDevice.start_step_batch
+
+    def logged(self, spec, context_len, size, decode, now_s):
+        finish = original(self, spec, context_len, size, decode, now_s)
+        steps.append((self.device_id, now_s, finish, decode))
+        return finish
+
+    monkeypatch.setattr(SprintDevice, "start_step_batch", logged)
+    return steps
+
+
+def decode_heavy_table(cost_model, seed=3):
+    """~200 requests of ~32 tokens: long membership-fixed decode runs."""
+    table = generate_request_table(
+        PoissonProcess(20.0),
+        "BERT-B",
+        count=200,
+        seed=seed,
+        mean_output_tokens=32.0,
+    )
+    cost_model.prime(table.specs[0], table.valid_len)
+    return table
+
+
+def longest_run(runs, dev, after):
+    """The longest recorded macro run on ``dev`` starting after ``after``."""
+    candidates = [r for r in runs if r[2] == dev and r[0] > after]
+    assert candidates, "no macro run to aim the boundary at"
+    return max(candidates, key=lambda r: r[1] - r[0])
+
+
+class TestMacroStepUnderFaults:
+    """Decode-heavy traffic, where macro runs cover most token steps:
+    every run must stop exactly where an outage, recovery or retry
+    changes the scalar loop's behaviour, and stay bitwise-equal to the
+    reference loop across each boundary."""
+
+    @pytest.mark.parametrize("num_devices", (1, 2))
+    @pytest.mark.parametrize("seed", (3, 4))
+    def test_decode_heavy_matrix(self, cost_model, macro_runs, num_devices, seed):
+        table = decode_heavy_table(cost_model, seed)
+        span = float(table.arrival_s.max())
+        faults = FaultSchedule.exponential(
+            num_devices, mtbf_s=0.5, mttr_s=0.1, horizon_s=2 * span, seed=seed
+        )
+        fast, _ = assert_fault_runs_equal(
+            table, cost_model, faults, RetryPolicy(), num_devices, 2e-3
+        )
+        assert fast.failed_batches > 0  # the schedule actually bit
+        assert len(macro_runs) > 0  # ... and macro-stepping still ran
+
+    @pytest.mark.parametrize("max_wait_s", (2e-3, 0.0))
+    @pytest.mark.parametrize("lost", (False, True), ids=("at-finish", "ulp-early"))
+    def test_outage_at_a_step_finish(
+        self, cost_model, macro_runs, step_log, max_wait_s, lost
+    ):
+        table = decode_heavy_table(cost_model)
+        simulate_table(table, cost_model, max_wait_s=max_wait_s)
+        run_reference(table, cost_model, None, None, 1, max_wait_s)
+        start, end, _ = longest_run(macro_runs, 0, after=0.0)
+        # A step strictly inside that run, neither its first nor last.
+        inner = [s for s in step_log if start < s[1] and s[2] < end]
+        assert inner
+        finish = inner[len(inner) // 2][2]
+        down = np.nextafter(finish, -np.inf) if lost else finish
+        faults = FaultSchedule.from_intervals([[(down, down + 0.05)]])
+        macro_runs.clear()
+        fast, _ = assert_fault_runs_equal(
+            table, cost_model, faults, RetryPolicy(), 1, max_wait_s
+        )
+        if lost:
+            # The run stops at the previous finish; the doomed step
+            # dispatches through the scalar path and is lost.
+            assert fast.failed_batches == 1
+            assert any(s == start and e < finish for s, e, _ in macro_runs)
+        else:
+            # Half-open outages: the step ending as the outage begins
+            # completes, and the run carries right up to it.
+            assert fast.failed_batches == 0
+            assert (start, finish, 0) in macro_runs
+
+    def test_lower_device_recovers_mid_run(self, cost_model, macro_runs):
+        table = decode_heavy_table(cost_model)
+        down = float(table.arrival_s[20])
+        forever = FaultSchedule.from_intervals([[(down, np.inf)], []])
+        simulate_faulty_table(table, cost_model, forever, num_devices=2)
+        start, end, _ = longest_run(macro_runs, 1, after=down)
+        recover = 0.5 * (start + end)
+        macro_runs.clear()
+        fast, _ = assert_fault_runs_equal(
+            table,
+            cost_model,
+            FaultSchedule.from_intervals([[(down, recover)], []]),
+            RetryPolicy(),
+            2,
+            2e-3,
+        )
+        # Device 1 was macro-stepping when device 0 came back, and no
+        # run on it carried on past the recovery's next dispatch.
+        assert any(d == 1 and start <= s < recover for s, _, d in macro_runs)
+        assert not any(s < recover and e >= end for s, e, _ in macro_runs)
+
+    def test_retry_lands_mid_run(self, cost_model, macro_runs, step_log):
+        table = decode_heavy_table(cost_model)
+        run_reference(table, cost_model, None, None, 2, 2e-3)
+        # Kill device 0 for good one ulp before one of its steps ends.
+        early = float(table.arrival_s[20])
+        finish = next(s[2] for s in step_log if s[0] == 0 and s[1] > early)
+        fail = np.nextafter(finish, -np.inf)
+        faults = FaultSchedule.from_intervals([[(fail, np.inf)], []])
+        # Without retries, find the run the retry should interrupt.
+        no_retry = RetryPolicy(max_attempts=1)
+        simulate_faulty_table(table, cost_model, faults, no_retry, num_devices=2)
+        start, end, _ = longest_run(macro_runs, 1, after=fail)
+        retry = RetryPolicy(backoff_base_s=0.5 * (start + end) - fail)
+        macro_runs.clear()
+        fast, _ = assert_fault_runs_equal(table, cost_model, faults, retry, 2, 2e-3)
+        assert fast.failed_batches == 1
+        landed = [at for _, at, _, _ in fast.retry_events]
+        assert landed and all(start < at < end for at in landed)
+        assert any(d == 1 and start <= s < landed[0] for s, _, d in macro_runs)
+        assert not any(s < landed[0] and e >= end for s, e, _ in macro_runs)
+
+    def test_retry_pending_after_the_last_arrival(
+        self, cost_model, macro_runs, step_log
+    ):
+        # Seed 7 ends with a ~130-step decode on device 0 while the last
+        # arrival prefills on device 1.  Losing that prefill leaves a
+        # retry pending after arrivals end, which must keep the decode
+        # on its timeout cadence (no end-of-stream instant flush).
+        table = decode_heavy_table(cost_model, seed=7)
+        run_reference(table, cost_model, None, None, 2, 2e-3)
+        last = float(table.arrival_s.max())
+        finish = next(
+            s[2] for s in step_log if s[0] == 1 and s[1] >= last and not s[3]
+        )
+        tail_end = max(s[2] for s in step_log)
+        fail = np.nextafter(finish, -np.inf)
+        fast, _ = assert_fault_runs_equal(
+            table,
+            cost_model,
+            FaultSchedule.from_intervals([[], [(fail, np.inf)]]),
+            RetryPolicy(backoff_base_s=0.5 * (tail_end - fail)),
+            2,
+            2e-3,
+        )
+        assert fast.failed_batches == 1
+        landed = fast.retry_events[0][1]
+        assert any(d == 0 and fail < s < landed for s, _, d in macro_runs)
+
+
+# ----------------------------------------------------------------------
 # conservation properties: every fault run, any schedule
 # ----------------------------------------------------------------------
 class TestConservation:
@@ -474,6 +654,79 @@ class TestFaultStream:
         assert streamed.latency.p99_s == pytest.approx(
             exact.latency.p99_s, rel=0.02
         )
+
+
+class TestFaultThreads:
+    """``threads`` reaches both fault routes: phase 1 builds every
+    queue's cost vectors in a pool, and not one bit of the run moves."""
+
+    @pytest.fixture()
+    def table(self):
+        return generate_request_table(
+            make_process("bursty"),
+            {"BERT-B": 0.5, "ViT-B": 0.3, "GPT-2-L": 0.2},
+            count=300,
+            seed=8,
+            mean_output_tokens=8.0,
+        )
+
+    @pytest.fixture()
+    def prebuilds(self, monkeypatch):
+        calls = []
+        original = faults_module._prebuild_vectors
+
+        def recorded(core, spec_i, vlen, olen, threads):
+            calls.append(threads)
+            original(core, spec_i, vlen, olen, threads)
+
+        monkeypatch.setattr(faults_module, "_prebuild_vectors", recorded)
+        return calls
+
+    def test_table_bitwise_across_threads(self, cost_model, table, prebuilds):
+        faults = make_schedule("exponential", 2, seed=8)
+        one, two = (
+            simulate_table(
+                table, cost_model, num_devices=2, faults=faults, threads=threads
+            )
+            for threads in (1, 2)
+        )
+        assert prebuilds == [2]
+        assert one.failed_batches > 0
+        for field in dataclasses.fields(one):
+            a, b = getattr(one, field.name), getattr(two, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), field.name
+            elif field.name != "table":
+                assert a == b, field.name
+
+    def test_stream_bitwise_across_threads(self, cost_model, table, prebuilds):
+        faults = make_schedule("exponential", 2, seed=8)
+        chunks = [table.slice(lo, min(lo + 64, len(table))) for lo in range(0, 300, 64)]
+        results, sunk = [], []
+        for threads in (1, 2):
+            collected = []
+            results.append(
+                simulate_stream(
+                    chunks,
+                    cost_model,
+                    num_devices=2,
+                    faults=faults,
+                    threads=threads,
+                    sink=collected.append,
+                )
+            )
+            sunk.append(collected)
+        assert prebuilds == [2] * len(chunks)
+        assert results[0].failed_batches > 0
+        assert results[0] == results[1]
+        assert len(sunk[0]) == len(sunk[1])
+        for a, b in zip(*sunk):
+            for field in dataclasses.fields(a):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                if isinstance(x, np.ndarray):
+                    assert x.tobytes() == y.tobytes(), field.name
+                else:
+                    assert x == y, field.name
 
 
 # ----------------------------------------------------------------------
