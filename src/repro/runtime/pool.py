@@ -585,15 +585,15 @@ def _decode_vector_shard(
     Values are memoized pure functions of (model, bucket), so shard
     assignment cannot change any priced cost.
     """
-    from repro.serving.decode import _build_cost_vectors, _queue_map
+    from repro.serving.decode import _build_cost_vectors
     from repro.serving.devices import shared_cost_model
+    from repro.serving.engine import _queue_map
 
     cost_model = shared_cost_model(*cost_args)
     table, segment = map_request_table(handle)
     try:
         queue_specs, queue_of_spec = _queue_map(table.specs)
-        qmap = np.asarray(queue_of_spec, dtype=np.int64)
-        qids = qmap[table.spec_idx]
+        qids = queue_of_spec[table.spec_idx]
         ctx_hi = table.valid_len + table.output_len - 1
         out = []
         for qid in queue_ids:
@@ -637,8 +637,9 @@ def simulate_decode_table_sharded(
     The unit of parallelism is the model queue, so single-queue tables
     fall through to the serial path.
     """
-    from repro.serving.decode import _queue_map, simulate_decode_table
+    from repro.serving.decode import simulate_decode_table
     from repro.serving.devices import DEFAULT_SETUP_CYCLES
+    from repro.serving.engine import _queue_map
 
     if setup_cycles is None:
         setup_cycles = DEFAULT_SETUP_CYCLES
@@ -654,8 +655,7 @@ def simulate_decode_table_sharded(
         recorder=recorder,
     )
     queue_specs, queue_of_spec = _queue_map(table.specs)
-    qmap = np.asarray(queue_of_spec, dtype=np.int64)
-    qids = qmap[table.spec_idx]
+    qids = queue_of_spec[table.spec_idx]
     counts = np.bincount(qids, minlength=len(queue_specs))
     active = [q for q in range(len(queue_specs)) if counts[q]]
     if jobs <= 1 or len(active) <= 1:
@@ -728,7 +728,6 @@ def simulate_table_sharded(
     """
     from repro.serving import engine
     from repro.serving.devices import DEFAULT_SETUP_CYCLES
-    from repro.serving.requests import RequestTable
 
     if setup_cycles is None:
         setup_cycles = DEFAULT_SETUP_CYCLES
@@ -749,14 +748,7 @@ def simulate_table_sharded(
             mp_context=mp_context,
             recorder=recorder,
         )
-    order = np.lexsort((table.request_id, table.arrival_s))
-    table = RequestTable(
-        specs=table.specs,
-        request_id=table.request_id[order],
-        arrival_s=table.arrival_s[order],
-        spec_idx=table.spec_idx[order],
-        valid_len=table.valid_len[order],
-    )
+    table = table.in_canonical_order()
     queue_specs, queue_of_spec = engine._queue_map(table.specs)
     rows_list = engine._group_rows(table.spec_idx, queue_of_spec, len(queue_specs))
     active = [q for q in range(len(queue_specs)) if rows_list[q].size]

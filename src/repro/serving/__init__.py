@@ -54,9 +54,15 @@ once their per-request deadline passes, and :func:`summarize` /
 wasted energy.  ``simulate_table`` / ``simulate_stream`` take
 ``faults=`` / ``retry=`` and stay bitwise-equal to the fault-threaded
 reference loops: the columnar side runs the decode engine's one event
-core with the schedule in force (prefill traffic as the
-``output_len == 1`` case), macro-stepping up to each device's next
-outage.  With no schedule the fast paths are untouched.
+core and its two drivers with the schedule in force (prefill traffic
+as the ``output_len == 1`` case), macro-stepping up to each device's
+next outage.  With no schedule the fast paths are untouched.
+
+Every stream route -- prefill, decode, fault -- hands its ``sink``
+:class:`CompletedChunk` columns and returns a
+:class:`StreamedServingResult`; every result's ``completed_rows()``
+returns the same chunk shape, which is all :func:`summarize` and
+:func:`summarize_stream` read per request.
 
 Both paths accept an optional :class:`repro.obs.trace.TraceRecorder`
 for sim-time request tracing, and :func:`summarize` can fold latency
@@ -107,8 +113,6 @@ from repro.serving.batching import (
 )
 from repro.serving.decode import (
     DecodeColumnarResult,
-    DecodeCompletedChunk,
-    DecodeStreamedResult,
     simulate_decode_stream,
     simulate_decode_table,
 )
@@ -120,7 +124,6 @@ from repro.serving.devices import (
 )
 from repro.serving.engine import (
     ColumnarServingResult,
-    CompletedChunk,
     StreamedServingResult,
     simulate_stream,
     simulate_table,
@@ -130,12 +133,8 @@ from repro.serving.faults import (
     DeviceFaultTrace,
     DroppedRecord,
     FaultColumnarResult,
-    FaultCompletedChunk,
     FaultSchedule,
-    FaultStreamedResult,
     RetryPolicy,
-    simulate_faulty_stream,
-    simulate_faulty_table,
 )
 from repro.serving.metrics import (
     LatencyStats,
@@ -143,7 +142,13 @@ from repro.serving.metrics import (
     summarize,
     summarize_stream,
 )
-from repro.serving.requests import Batch, Request, RequestRecord, RequestTable
+from repro.serving.requests import (
+    Batch,
+    CompletedChunk,
+    Request,
+    RequestRecord,
+    RequestTable,
+)
 from repro.serving.scheduler import (
     DecodeRecord,
     GenerativeResult,
@@ -164,9 +169,7 @@ __all__ = [
     "ContinuousBatcher",
     "DEFAULT_CHUNK_SIZE",
     "DecodeColumnarResult",
-    "DecodeCompletedChunk",
     "DecodeRecord",
-    "DecodeStreamedResult",
     "DeviceFaultTrace",
     "DroppedRecord",
     "DynamicBatcher",
@@ -174,9 +177,7 @@ __all__ = [
     "EventKind",
     "EventQueue",
     "FaultColumnarResult",
-    "FaultCompletedChunk",
     "FaultSchedule",
-    "FaultStreamedResult",
     "GenerativeResult",
     "GenerativeServingSimulator",
     "LatencyStats",
@@ -203,8 +204,6 @@ __all__ = [
     "shared_cost_model",
     "simulate_decode_stream",
     "simulate_decode_table",
-    "simulate_faulty_stream",
-    "simulate_faulty_table",
     "simulate_stream",
     "simulate_table",
     "summarize",

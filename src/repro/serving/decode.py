@@ -18,7 +18,10 @@ reference :class:`~repro.serving.scheduler.GenerativeServingSimulator`
 (same float expressions evaluated in the same order), and
 :func:`simulate_decode_stream` extends that bitwise contract to
 chunked out-of-core streams at any chunk size, retiring completed
-requests through a ``sink`` so peak memory is O(chunk + in-flight).
+requests through a ``sink`` as
+:class:`~repro.serving.requests.CompletedChunk` columns so peak memory
+is O(chunk + in-flight), and returning the prefill engine's
+:class:`~repro.serving.engine.StreamedServingResult`.
 
 Request lifecycle (continuous batching)::
 
@@ -34,9 +37,12 @@ seals on ``max_batch_size`` members or when its oldest step has waited
 ``max_wait_s``; prefill and decode steps never share a batch; when no
 future step can ever join, pending queues flush immediately.
 
-The same event core serves fault injection: the entry points in
-:mod:`repro.serving.faults` run it with a device outage schedule and a
-retry policy in force, macro-stepping included.
+The same event core and the same two drivers serve fault injection:
+``faults=`` (a :class:`~repro.serving.faults.FaultSchedule`) and
+``retry=`` run it with device outages and a retry policy in force,
+macro-stepping included, for prefill tables (as the
+``output_len == 1`` case) and generative ones alike; the table driver
+then returns a :class:`~repro.serving.faults.FaultColumnarResult`.
 """
 
 from __future__ import annotations
@@ -46,14 +52,38 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs.trace import TraceRecorder
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
+from repro.serving.engine import (
+    _EMPTY,
+    StreamedServingResult,
+    _check_chunk,
+    _queue_map,
+    _validate_knobs,
+)
 from repro.serving.events import EventKind
-from repro.serving.requests import Request, RequestTable, has_duplicate_ids
+from repro.serving.faults import (
+    DROP_DEADLINE,
+    DROP_NONE,
+    DROP_REASON_NAMES,
+    DROP_RETRIES,
+    DROP_STRANDED,
+    FaultColumnarResult,
+    _emit_fault_trace,
+    count_drop_reasons,
+    retry_in_force,
+)
+from repro.serving.requests import (
+    CompletedChunk,
+    Request,
+    RequestTable,
+    has_duplicate_ids,
+)
 from repro.serving.scheduler import DecodeRecord, GenerativeResult
 
 
@@ -84,12 +114,6 @@ _P_TIMEOUT = int(EventKind.BATCH_TIMEOUT)
 _P_FAILED = int(EventKind.BATCH_FAILED)
 _P_RECOVERY = int(EventKind.RECOVERY)
 _P_RETRY = int(EventKind.RETRY)
-
-#: Drop-reason codes of ``_DecodeCore.dropped`` (0 = completed).
-DROP_NONE = 0
-DROP_RETRIES = 1
-DROP_DEADLINE = 2
-DROP_STRANDED = 3
 
 _INF = float("inf")
 
@@ -157,12 +181,24 @@ class DecodeColumnarResult:
     @property
     def tbt_s(self) -> np.ndarray:
         """Mean time between tokens per request (NaN when 1 token)."""
-        steps = (self.output_len - 1).astype(np.float64)
-        return np.divide(
-            self.finish_s - self.first_token_s,
-            steps,
-            out=np.full(steps.shape, np.nan),
-            where=steps > 0,
+        return self.completed_rows().tbt_s
+
+    def completed_rows(self) -> CompletedChunk:
+        """Every row's columns (every request completes), in row order."""
+        return CompletedChunk(
+            specs=self.specs,
+            request_id=self.request_id,
+            arrival_s=self.arrival_s,
+            spec_idx=self.spec_idx,
+            valid_len=self.valid_len,
+            batched_s=self.prefill_batched_s,
+            service_start_s=self.prefill_start_s,
+            finish_s=self.finish_s,
+            batch_size=self.prefill_batch_size,
+            device_id=self.prefill_device_id,
+            output_len=self.output_len,
+            first_token_s=self.first_token_s,
+            decode_slots=self.decode_slots,
         )
 
     def to_result(self) -> GenerativeResult:
@@ -205,95 +241,6 @@ class DecodeColumnarResult:
             timeout_triggered_batches=self.timeout_triggered_batches,
             total_tokens=self.total_tokens,
         )
-
-
-@dataclass
-class DecodeCompletedChunk:
-    """Outcome columns for requests retired by the chunked decode driver.
-
-    Rows are in completion (finish-event) order; values are bitwise
-    equal to the whole-table run's.  Downstream consumers
-    (:func:`repro.serving.metrics.summarize_stream`) fold these into
-    fixed-size sketches and drop them.
-    """
-
-    specs: List
-    request_id: np.ndarray
-    arrival_s: np.ndarray
-    spec_idx: np.ndarray
-    valid_len: np.ndarray
-    output_len: np.ndarray
-    prefill_batched_s: np.ndarray
-    prefill_start_s: np.ndarray
-    first_token_s: np.ndarray
-    finish_s: np.ndarray
-    prefill_batch_size: np.ndarray
-    prefill_device_id: np.ndarray
-    decode_slots: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.request_id.size)
-
-    @property
-    def latency_s(self) -> np.ndarray:
-        return self.finish_s - self.arrival_s
-
-    @property
-    def queue_wait_s(self) -> np.ndarray:
-        return self.prefill_start_s - self.arrival_s
-
-    @property
-    def ttft_s(self) -> np.ndarray:
-        return self.first_token_s - self.arrival_s
-
-    @property
-    def tbt_s(self) -> np.ndarray:
-        steps = (self.output_len - 1).astype(np.float64)
-        return np.divide(
-            self.finish_s - self.first_token_s,
-            steps,
-            out=np.full(steps.shape, np.nan),
-            where=steps > 0,
-        )
-
-
-@dataclass
-class DecodeStreamedResult:
-    """Run-level aggregates of a chunked generative simulation."""
-
-    completed: int
-    start_s: float
-    end_s: float
-    device_busy_s: List[float]
-    device_energy_pj: List[float]
-    batches: int
-    prefill_batches: int
-    decode_batches: int
-    size_triggered_batches: int
-    timeout_triggered_batches: int
-    total_tokens: int
-
-    @property
-    def duration_s(self) -> float:
-        return max(self.end_s - self.start_s, 0.0)
-
-
-def _queue_map(specs) -> Tuple[List, List[int]]:
-    """Name-keyed queue ids, exactly the reference batcher's keying.
-
-    Same-name specs (identical by table validation) share one queue.
-    Shared with the process-shard workers in :mod:`repro.runtime.pool`
-    so both sides agree on which queue owns which rows.
-    """
-    queue_ids: dict = {}
-    queue_specs: List = []
-    queue_of_spec: List[int] = []
-    for spec in specs:
-        qid = queue_ids.setdefault(spec.name, len(queue_specs))
-        if qid == len(queue_specs):
-            queue_specs.append(spec)
-        queue_of_spec.append(qid)
-    return queue_specs, queue_of_spec
 
 
 def _build_cost_vectors(
@@ -358,7 +305,9 @@ class _DecodeCore:
         retry=None,
     ):
         self.specs = specs
-        self.queue_specs, self.queue_of_spec = _queue_map(specs)
+        self.queue_specs, queue_of_spec = _queue_map(specs)
+        # A plain list: arrivals index it once each in the hot loop.
+        self.queue_of_spec = queue_of_spec.tolist()
         self.cost_model = cost_model
         self.num_devices = num_devices
         #: Dispatch scans devices in index order (lowest free one wins).
@@ -432,7 +381,6 @@ class _DecodeCore:
         self.pending_retries = 0
         self.arrivals_done = False
         self.last_now = 0.0
-        self.steps_in = 0
         self.batches = 0
         self.prefill_batches = 0
         self.decode_batches = 0
@@ -443,7 +391,6 @@ class _DecodeCore:
         self.wasted_energy_pj = 0.0
         #: (request id, retry instant, attempt number, model name).
         self.retry_events: list = []
-        self.end_s = -np.inf
         if schedule is not None:
             # One RECOVERY per device is pending at a time (the next is
             # pushed as each pops), which keeps the heap shallow.  A
@@ -511,7 +458,6 @@ class _DecodeCore:
     def _admit(self, rec, ctx: int, decode: bool, now: float, limit: float) -> None:
         """Queue one step; a new queue's timeout is pushed now only if
         it falls before ``limit`` (the next arrival), else deferred."""
-        self.steps_in += 1
         key = (rec[_QID], decode)
         queues = self.queues
         q = queues.get(key)
@@ -745,7 +691,6 @@ class _DecodeCore:
                     break
             if idx == mx:
                 return False
-            self.end_s = prev
             self.last_now = prev
         else:
             # Timeout cadence: DONE at fin_j -> members re-queue ->
@@ -755,7 +700,6 @@ class _DecodeCore:
             # bounds are strict.
             w = self.max_wait_s
             hi = limit if t2 is None or limit <= t2 else t2
-            prev_fin = now
             t_seal = now
             while True:
                 ts = fin + w
@@ -768,15 +712,12 @@ class _DecodeCore:
                 idx += 1
                 busy += s
                 energy += en_vec[idx] * size
-                prev_fin = fin
                 t_seal = ts
                 fin = nxt
                 if idx == end:
                     break
             if idx == mx:
                 return False
-            if idx - mx >= 2:
-                self.end_s = prev_fin
             self.last_now = t_seal
         m = idx - mx
         self.busy_s[dev] = busy
@@ -789,7 +730,6 @@ class _DecodeCore:
             self.size_triggered += m
         else:
             self.timeout_triggered += m
-        self.steps_in += size * m
         batch[5] += m
         batch[6] = left - m
         batch[7] = idx
@@ -824,8 +764,6 @@ class _DecodeCore:
     def _handle_heap_event(self, limit: float) -> None:
         now, priority, _, batch = heappop(self.heap)
         if priority == _P_DONE:
-            if now > self.end_s:
-                self.end_s = now
             if (
                 batch[0]
                 and batch[6] >= 2
@@ -898,7 +836,6 @@ class _DecodeCore:
                         heappush(self.heap, (now + w, _P_TIMEOUT, self.seq, None))
                         self.seq += 1
             self.in_flight_rejoiners -= rejoined
-            self.steps_in += rejoined
         elif batch is None:  # BATCH_TIMEOUT, the one payload-free kind
             if self.queues:
                 self._flush_due(now)
@@ -1019,17 +956,6 @@ class _DecodeCore:
         assert self.in_flight_rejoiners == 0 and self.pending_retries == 0
 
 
-def _validate_knobs(num_devices, max_batch_size, max_wait_s, threads=1):
-    if num_devices < 1:
-        raise ValueError("at least one device required")
-    if max_batch_size < 1:
-        raise ValueError("max_batch_size must be positive")
-    if max_wait_s < 0:
-        raise ValueError("max_wait_s must be non-negative")
-    if threads < 1:
-        raise ValueError("threads must be positive")
-
-
 def _prebuild_vectors(core: _DecodeCore, spec_i, vlen, olen, threads: int) -> None:
     """Phase 1: build every queue's cost vectors before the event loop.
 
@@ -1064,6 +990,30 @@ def _prebuild_vectors(core: _DecodeCore, spec_i, vlen, olen, threads: int) -> No
             _one(target)
 
 
+#: Per-request outcome column -> (record slot, dtype, value on rows
+#: that never complete).  Chunks carry the ``_GENERATIVE`` ones only
+#: for streams with an ``output_len`` column.
+_OUTCOMES = {
+    "batched_s": (_PFB, np.float64, np.nan),
+    "service_start_s": (_PFS, np.float64, np.nan),
+    "finish_s": (_FIN, np.float64, np.nan),
+    "batch_size": (_PFSZ, np.int64, 0),
+    "device_id": (_PFD, np.int64, -1),
+    "first_token_s": (_FT, np.float64, np.nan),
+    "decode_slots": (_DSLOT, np.int64, 0),
+}
+#: Arrival columns -> (record slot, dtype) a chunk carries next to
+#: the outcomes.
+_ARRIVALS = {
+    "request_id": (_RID, np.int64),
+    "arrival_s": (_ARR, np.float64),
+    "spec_idx": (_SPEC, np.int64),
+    "valid_len": (_VLEN, np.int64),
+    "output_len": (_OLEN, np.int64),
+}
+_GENERATIVE = ("output_len", "first_token_s", "decode_slots")
+
+
 def simulate_decode_table(
     table: RequestTable,
     cost_model: ServiceCostModel,
@@ -1087,51 +1037,38 @@ def simulate_decode_table(
     bitwise equal.  Tables without an ``output_len`` column run as
     all-``output_len=1`` generative traffic (pure prefill).
 
+    ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`) puts
+    device outages in force, with ``retry`` (default
+    :class:`~repro.serving.faults.RetryPolicy`) for lost requests; the
+    run then returns a :class:`~repro.serving.faults.FaultColumnarResult`,
+    bitwise equal to the fault-mode reference loops
+    (:class:`~repro.serving.scheduler.ServingSimulator` for prefill
+    tables, :class:`~repro.serving.scheduler.GenerativeServingSimulator`
+    for generative ones).
+
     ``recorder`` emits the sampled requests' lifecycle spans post-hoc
     from the finished columns (prefill batching/dispatch, decode phase,
-    finish at the last token), bitwise identical to the reference
-    loop's.  ``threads > 1`` runs phase 1 (per-queue cost-vector
-    construction, including the cycle-model passes behind cold cost
-    buckets) across a thread pool -- results stay bitwise identical at
-    every thread count.  ``_vectors`` is the process-shard injection
-    point (:func:`repro.runtime.pool.simulate_decode_table_sharded`): a
-    dict of (queue id, decode?) -> prebuilt cost vectors.
+    finish at the last token, plus outages and retries under a
+    schedule), bitwise identical to the reference loop's.
+    ``threads > 1`` runs phase 1 (per-queue cost-vector construction,
+    including the cycle-model passes behind cold cost buckets) across a
+    thread pool -- results stay bitwise identical at every thread
+    count.  ``_vectors`` is the process-shard injection point
+    (:func:`repro.runtime.pool.simulate_decode_table_sharded`): a dict
+    of (queue id, decode?) -> prebuilt cost vectors.
     """
-    if len(table) == 0:
-        raise ValueError("request stream must not be empty")
     _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
-    if faults is not None:
-        from repro.serving.faults import simulate_faulty_table
-
-        if _vectors is not None:
-            raise ValueError("sharded cost vectors do not apply under fault injection")
-        return simulate_faulty_table(
-            table,
-            cost_model,
-            faults,
-            retry=retry,
-            num_devices=num_devices,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            setup_cycles=setup_cycles,
-            recorder=recorder,
-            threads=threads,
-        )
-    if retry is not None:
-        raise ValueError("a retry policy requires a fault schedule")
+    retry = retry_in_force(faults, retry, num_devices)
+    if faults is not None and _vectors is not None:
+        raise ValueError("sharded cost vectors do not apply under fault injection")
+    if len(table) == 0:
+        raise ValueError(_EMPTY)
     if has_duplicate_ids(table.request_id):
         raise ValueError("duplicate request id in stream")
 
-    order = np.lexsort((table.request_id, table.arrival_s))
-    rid = table.request_id[order]
-    arr = table.arrival_s[order]
-    spec_i = table.spec_idx[order]
-    vlen = table.valid_len[order]
-    if table.output_len is None:
-        olen = np.ones(len(table), dtype=np.int64)
-    else:
-        olen = table.output_len[order]
-
+    table = table.in_canonical_order()
+    n = len(table)
+    olen = np.ones(n, dtype=np.int64) if table.output_len is None else table.output_len
     core = _DecodeCore(
         table.specs,
         cost_model,
@@ -1139,6 +1076,8 @@ def simulate_decode_table(
         max_batch_size,
         max_wait_s,
         setup_cycles,
+        faults,
+        retry,
     )
     if _vectors:
         core.vecs.update(
@@ -1148,66 +1087,78 @@ def simulate_decode_table(
             }
         )
     elif threads > 1:
-        _prebuild_vectors(core, spec_i, vlen, olen, threads)
-    core.run_arrivals(rid, arr, spec_i, vlen, olen, 0)
+        _prebuild_vectors(core, table.spec_idx, table.valid_len, olen, threads)
+    core.run_arrivals(
+        table.request_id,
+        table.arrival_s,
+        table.spec_idx,
+        table.valid_len,
+        olen,
+        0,
+        None if faults is None else table.deadline_s,
+    )
     core.finalize()
 
-    n = len(table)
-    prefill_batched = np.empty(n, dtype=np.float64)
-    prefill_start = np.empty(n, dtype=np.float64)
-    first_token = np.empty(n, dtype=np.float64)
-    finish = np.empty(n, dtype=np.float64)
-    prefill_size = np.empty(n, dtype=np.int64)
-    prefill_dev = np.empty(n, dtype=np.int64)
-    dslots = np.empty(n, dtype=np.int64)
-    assert len(core.completed) == n
-    for rec in core.completed:
+    # One gather: completed records scatter into their canonical rows
+    # (every row without a schedule); dropped rows keep the fill values
+    # and carry the drop columns instead.
+    done = core.completed
+    assert len(done) + len(core.dropped) == n
+    rows = np.fromiter((r[_ROW] for r in done), np.int64, len(done))
+    cols = {}
+    for name, (at, dtype, fill) in _OUTCOMES.items():
+        cols[name] = col = np.full(n, fill, dtype=dtype)
+        col[rows] = np.fromiter((r[at] for r in done), dtype, len(done))
+    completed = np.zeros(n, dtype=bool)
+    completed[rows] = True
+    attempts = np.zeros(n, dtype=np.int64)
+    attempts[rows] = np.fromiter((r[_FLS] + 1 for r in done), np.int64, len(done))
+    drop_reason = np.full(n, DROP_NONE, dtype=np.int8)
+    dropped_s = np.full(n, np.nan)
+    drop_order = np.empty(len(core.dropped), dtype=np.int64)
+    end_s = max((r[_FIN] for r in done), default=-_INF)
+    for k, (rec, reason, at) in enumerate(core.dropped):
         row = rec[_ROW]
-        prefill_batched[row] = rec[_PFB]
-        prefill_start[row] = rec[_PFS]
-        first_token[row] = rec[_FT]
-        finish[row] = rec[_FIN]
-        prefill_size[row] = rec[_PFSZ]
-        prefill_dev[row] = rec[_PFD]
-        dslots[row] = rec[_DSLOT]
+        drop_order[k] = row
+        attempts[row] = rec[_FLS]
+        drop_reason[row] = reason
+        dropped_s[row] = at
+        if at > end_s:
+            end_s = at
+    start_s = float(table.arrival_s[0])
+    end_s = float(end_s)
 
     if recorder is not None:
         specs = table.specs
-        for i in range(n):
+        for row in np.flatnonzero(completed).tolist():
+            request_id = int(table.request_id[row])
+            model = specs[int(table.spec_idx[row])].name
+            finish_s = float(cols["finish_s"][row])
             recorder.add_request(
-                request_id=int(rid[i]),
-                model=specs[int(spec_i[i])].name,
-                arrival_s=float(arr[i]),
-                batched_s=float(prefill_batched[i]),
-                service_start_s=float(prefill_start[i]),
-                finish_s=float(finish[i]),
-                device_id=int(prefill_dev[i]),
-                batch_size=int(prefill_size[i]),
+                request_id=request_id,
+                model=model,
+                arrival_s=float(table.arrival_s[row]),
+                batched_s=float(cols["batched_s"][row]),
+                service_start_s=float(cols["service_start_s"][row]),
+                finish_s=finish_s,
+                device_id=int(cols["device_id"][row]),
+                batch_size=int(cols["batch_size"][row]),
             )
             recorder.add_decode_phase(
-                request_id=int(rid[i]),
-                model=specs[int(spec_i[i])].name,
-                first_token_s=float(first_token[i]),
-                finish_s=float(finish[i]),
-                tokens=int(olen[i]) - 1,
+                request_id=request_id,
+                model=model,
+                first_token_s=float(cols["first_token_s"][row]),
+                finish_s=finish_s,
+                tokens=int(olen[row]) - 1,
+            )
+        if faults is not None:
+            _emit_fault_trace(
+                recorder, faults, num_devices, start_s, end_s, core.retry_events
             )
 
-    return DecodeColumnarResult(
-        specs=table.specs,
-        request_id=rid,
-        arrival_s=arr,
-        spec_idx=spec_i,
-        valid_len=vlen,
-        output_len=olen,
-        prefill_batched_s=prefill_batched,
-        prefill_start_s=prefill_start,
-        first_token_s=first_token,
-        finish_s=finish,
-        prefill_batch_size=prefill_size,
-        prefill_device_id=prefill_dev,
-        decode_slots=dslots,
-        start_s=float(arr[0]),
-        end_s=float(finish.max()),
+    run = dict(
+        start_s=start_s,
+        end_s=end_s,
         device_busy_s=list(core.busy_s),
         device_energy_pj=list(core.energy_pj),
         batches=core.batches,
@@ -1215,34 +1166,57 @@ def simulate_decode_table(
         decode_batches=core.decode_batches,
         size_triggered_batches=core.size_triggered,
         timeout_triggered_batches=core.timeout_triggered,
-        total_tokens=int(olen.sum()),
-        deadline_s=(None if table.deadline_s is None else table.deadline_s[order]),
+        total_tokens=int(olen[completed].sum()),
+    )
+    if faults is None:
+        return DecodeColumnarResult(
+            specs=table.specs,
+            request_id=table.request_id,
+            arrival_s=table.arrival_s,
+            spec_idx=table.spec_idx,
+            valid_len=table.valid_len,
+            output_len=olen,
+            prefill_batched_s=cols["batched_s"],
+            prefill_start_s=cols["service_start_s"],
+            first_token_s=cols["first_token_s"],
+            finish_s=cols["finish_s"],
+            prefill_batch_size=cols["batch_size"],
+            prefill_device_id=cols["device_id"],
+            decode_slots=cols["decode_slots"],
+            deadline_s=table.deadline_s,
+            **run,
+        )
+    return FaultColumnarResult(
+        table=table,
+        generative=table.output_len is not None,
+        completed=completed,
+        attempts=attempts,
+        drop_reason=drop_reason,
+        dropped_s=dropped_s,
+        drop_order=drop_order,
+        device_downtime_s=[
+            faults.downtime_within(d, start_s, end_s) for d in range(num_devices)
+        ],
+        retries=core.retries,
+        failed_batches=core.failed_batches,
+        wasted_energy_pj=core.wasted_energy_pj,
+        retry_events=list(core.retry_events),
+        **cols,
+        **run,
     )
 
 
-def _completed_chunk(specs, recs) -> DecodeCompletedChunk:
+def _completed_chunk(specs, recs, generative: bool, faulted: bool) -> CompletedChunk:
+    """Columns of retired core records, in completion order."""
     n = len(recs)
     cols = {
-        "request_id": (np.int64, _RID),
-        "arrival_s": (np.float64, _ARR),
-        "spec_idx": (np.int64, _SPEC),
-        "valid_len": (np.int64, _VLEN),
-        "output_len": (np.int64, _OLEN),
-        "prefill_batched_s": (np.float64, _PFB),
-        "prefill_start_s": (np.float64, _PFS),
-        "first_token_s": (np.float64, _FT),
-        "finish_s": (np.float64, _FIN),
-        "prefill_batch_size": (np.int64, _PFSZ),
-        "prefill_device_id": (np.int64, _PFD),
-        "decode_slots": (np.int64, _DSLOT),
+        name: np.fromiter((r[at] for r in recs), dtype, n)
+        for name, (at, dtype, *_) in chain(_ARRIVALS.items(), _OUTCOMES.items())
+        if generative or name not in _GENERATIVE
     }
-    arrays = {}
-    for name, (dtype, at) in cols.items():
-        col = np.empty(n, dtype=dtype)
-        for i, rec in enumerate(recs):
-            col[i] = rec[at]
-        arrays[name] = col
-    return DecodeCompletedChunk(specs=specs, **arrays)
+    if faulted:
+        cols["attempts"] = np.fromiter((r[_FLS] + 1 for r in recs), np.int64, n)
+    return CompletedChunk(specs=specs, **cols)
 
 
 def simulate_decode_stream(
@@ -1252,71 +1226,71 @@ def simulate_decode_stream(
     max_batch_size: int = 8,
     max_wait_s: float = 2e-3,
     setup_cycles: int = DEFAULT_SETUP_CYCLES,
-    sink: Optional[Callable[[DecodeCompletedChunk], None]] = None,
+    sink: Optional[Callable[[CompletedChunk], None]] = None,
     threads: int = 1,
     faults=None,
     retry=None,
-) -> "DecodeStreamedResult | FaultStreamedResult":
+) -> StreamedServingResult:
     """Out-of-core generative simulation over a chunked request stream.
 
     The generative twin of :func:`~repro.serving.engine.
-    simulate_stream`: consumes generative ``RequestTable`` chunks in
-    arrival order, holds only the event-loop frontier (open queues,
-    in-flight step batches, device folds) plus one chunk, and retires
-    completed requests through ``sink`` as
-    :class:`DecodeCompletedChunk` columns in completion order.  Every
-    emitted value and aggregate is bitwise equal to the whole-table
-    :func:`simulate_decode_table` run of the concatenated stream, at
-    any chunk size.
+    simulate_stream`: consumes ``RequestTable`` chunks in arrival
+    order, holds only the event-loop frontier (open queues, in-flight
+    step batches, device folds) plus one chunk, and retires completed
+    requests through ``sink`` as
+    :class:`~repro.serving.requests.CompletedChunk` columns in
+    completion order (with the generative columns when the stream has
+    an ``output_len`` column, and ``attempts`` under a schedule).
+    Every emitted value and aggregate is bitwise equal to the
+    whole-table :func:`simulate_decode_table` run of the concatenated
+    stream (with the same ``faults`` / ``retry``), at any chunk size.
 
     Chunks must be non-overlapping and ordered (each chunk's earliest
     (arrival, id) lexicographically follows the previous chunk's
-    latest) and share one spec list; request-id uniqueness across
-    chunks is the caller's contract, as in the prefill driver.
+    latest) and share one spec list.  Without a schedule, request-id
+    uniqueness across chunks is the caller's contract, as in the
+    prefill driver.  Under a schedule a repeated id is rejected across
+    chunks too: the driver keeps every id seen so far in a set, which
+    grows with the stream (about 62.5 MiB per 10^6 ids).
 
     ``threads > 1`` builds each chunk's per-queue cost vectors across a
     thread pool before feeding the chunk's arrivals (vectors extend
     in place as later chunks raise a queue's context ceiling), keeping
-    peak memory O(chunk + frontier) and results bitwise identical at
-    every thread count.
+    results bitwise identical at every thread count.
     """
     _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
-    if faults is not None:
-        from repro.serving.faults import simulate_faulty_stream
-
-        return simulate_faulty_stream(
-            chunks,
-            cost_model,
-            faults,
-            retry=retry,
-            num_devices=num_devices,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            setup_cycles=setup_cycles,
-            sink=sink,
-            threads=threads,
-        )
-    if retry is not None:
-        raise ValueError("a retry policy requires a fault schedule")
+    retry = retry_in_force(faults, retry, num_devices)
     core: Optional[_DecodeCore] = None
     specs: Optional[List] = None
+    generative = False
+    seen_ids = None if faults is None else set()
+    prev = (-_INF, 0)
+    offered = 0
     start_s = 0.0
-    row_base = 0
-    prev_arrival = -np.inf
-    prev_id = -1
+    end_s = -_INF
+    total_tokens = 0
+    dropped_by_reason = {} if faults is None else count_drop_reasons(())
 
     def _drain() -> None:
-        if core.completed:
-            chunk_out = _completed_chunk(specs, core.completed)
-            core.completed.clear()
+        nonlocal end_s, total_tokens
+        recs = core.completed
+        if recs:
+            end_s = max(end_s, max(r[_FIN] for r in recs))
+            total_tokens += sum(r[_OLEN] for r in recs)
             if sink is not None:
-                sink(chunk_out)
+                sink(_completed_chunk(specs, recs, generative, faults is not None))
+            core.completed = []
+        for _, reason, at in core.dropped:
+            dropped_by_reason[DROP_REASON_NAMES[reason]] += 1
+            end_s = max(end_s, at)
+        core.dropped = []
 
     for chunk in chunks:
         if len(chunk) == 0:
             continue
-        if specs is None:
+        if core is None:
             specs = list(chunk.specs)
+            generative = chunk.output_len is not None
             core = _DecodeCore(
                 specs,
                 cost_model,
@@ -1324,44 +1298,62 @@ def simulate_decode_stream(
                 max_batch_size,
                 max_wait_s,
                 setup_cycles,
+                faults,
+                retry,
             )
-        elif list(chunk.specs) != specs:
-            raise ValueError("chunks must share one spec list")
-        order = np.lexsort((chunk.request_id, chunk.arrival_s))
-        rid = chunk.request_id[order]
-        arr = chunk.arrival_s[order]
-        if row_base == 0:
-            start_s = float(arr[0])
-        if (arr[0], rid[0]) <= (prev_arrival, prev_id):
-            raise ValueError("chunks must be ordered by (arrival_s, request_id)")
-        if has_duplicate_ids(rid):
-            raise ValueError("duplicate request id in chunk")
-        prev_arrival, prev_id = float(arr[-1]), int(rid[-1])
-        if chunk.output_len is None:
-            olen = np.ones(len(chunk), dtype=np.int64)
-        else:
-            olen = chunk.output_len[order]
-        spec_col = chunk.spec_idx[order]
-        vlen_col = chunk.valid_len[order]
+        chunk = chunk.in_canonical_order()
+        if offered == 0:
+            start_s = float(chunk.arrival_s[0])
+        prev = _check_chunk(chunk, specs, chunk.request_id, chunk.arrival_s, prev)
+        if seen_ids is not None:
+            for rid in chunk.request_id.tolist():
+                if rid in seen_ids:
+                    raise ValueError(f"duplicate request id {rid}")
+                seen_ids.add(rid)
+        olen = (
+            np.ones(len(chunk), dtype=np.int64)
+            if chunk.output_len is None
+            else chunk.output_len
+        )
         if threads > 1:
-            _prebuild_vectors(core, spec_col, vlen_col, olen, threads)
-        core.run_arrivals(rid, arr, spec_col, vlen_col, olen, row_base)
-        row_base += len(chunk)
+            _prebuild_vectors(core, chunk.spec_idx, chunk.valid_len, olen, threads)
+        core.run_arrivals(
+            chunk.request_id,
+            chunk.arrival_s,
+            chunk.spec_idx,
+            chunk.valid_len,
+            olen,
+            offered,
+            None if faults is None else chunk.deadline_s,
+        )
+        offered += len(chunk)
         _drain()
     if core is None:
-        raise ValueError("request stream must not be empty")
+        raise ValueError(_EMPTY)
     core.finalize()
     _drain()
-    return DecodeStreamedResult(
-        completed=row_base,
+    dropped = sum(dropped_by_reason.values())
+    return StreamedServingResult(
+        completed=offered - dropped,
         start_s=start_s,
-        end_s=float(core.end_s),
+        end_s=float(end_s),
         device_busy_s=list(core.busy_s),
         device_energy_pj=list(core.energy_pj),
         batches=core.batches,
-        prefill_batches=core.prefill_batches,
-        decode_batches=core.decode_batches,
         size_triggered_batches=core.size_triggered,
         timeout_triggered_batches=core.timeout_triggered,
-        total_tokens=core.steps_in,
+        prefill_batches=core.prefill_batches,
+        decode_batches=core.decode_batches,
+        total_tokens=total_tokens,
+        generative=generative,
+        dropped=dropped,
+        dropped_by_reason=dropped_by_reason,
+        device_downtime_s=(
+            []
+            if faults is None
+            else [faults.downtime_within(d, start_s, end_s) for d in range(num_devices)]
+        ),
+        retries=core.retries,
+        failed_batches=core.failed_batches,
+        wasted_energy_pj=core.wasted_energy_pj,
     )

@@ -29,20 +29,40 @@ The equivalence contract: for any stream, knobs, and device count,
 floating-point expressions are evaluated in the same order, only
 batched.  ``tests/test_serving_engine.py`` pins this across arrival
 patterns, execution modes, seeds, device counts, and wait bounds.
+
+:func:`simulate_table` and :func:`simulate_stream` are also the entry
+points for generative traffic and fault schedules: both route those to
+the event-driven decode engine (:mod:`repro.serving.decode`), which
+returns its own whole-table result types and the same
+:class:`StreamedServingResult` / :class:`CompletedChunk` stream types.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs.trace import TraceRecorder
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
-from repro.serving.requests import RequestRecord, RequestTable, has_duplicate_ids
+from repro.serving.requests import (
+    CompletedChunk,
+    RequestRecord,
+    RequestTable,
+    has_duplicate_ids,
+)
 from repro.serving.scheduler import ServingResult
+
+#: The stream-input rule messages, shared by every route.
+_EMPTY = "request stream must not be empty"
+_SPEC_MISMATCH = "chunks must share one spec list"
+_OUT_OF_ORDER = (
+    "chunks must be ordered by (arrival_s, request_id): each chunk must "
+    "start after the previous chunk's last request"
+)
 
 
 @dataclass
@@ -89,6 +109,22 @@ class ColumnarServingResult:
         """Arrival to service start (batching + dispatch queueing)."""
         return self.service_start_s - self.table.arrival_s
 
+    def completed_rows(self) -> CompletedChunk:
+        """Every row's columns (every request completes), in row order."""
+        t = self.table
+        return CompletedChunk(
+            specs=t.specs,
+            request_id=t.request_id,
+            arrival_s=t.arrival_s,
+            spec_idx=t.spec_idx,
+            valid_len=t.valid_len,
+            batched_s=self.batched_s,
+            service_start_s=self.service_start_s,
+            finish_s=self.finish_s,
+            batch_size=self.batch_size,
+            device_id=self.device_id,
+        )
+
     def to_result(self) -> ServingResult:
         """Materialize per-request records (the reference loop's shape)."""
         records = [
@@ -112,6 +148,32 @@ class ColumnarServingResult:
             size_triggered_batches=self.size_triggered_batches,
             timeout_triggered_batches=self.timeout_triggered_batches,
         )
+
+
+def _validate_knobs(num_devices, max_batch_size, max_wait_s, threads) -> None:
+    if num_devices < 1:
+        raise ValueError("at least one device required")
+    if max_batch_size < 1:
+        raise ValueError("max_batch_size must be positive")
+    if max_wait_s < 0:
+        raise ValueError("max_wait_s must be non-negative")
+    if threads < 1:
+        raise ValueError("threads must be positive")
+
+
+def _check_chunk(chunk, specs, request_id, arrival_s, prev) -> Tuple[float, int]:
+    """Apply the stream-input rules to one canonically sorted chunk.
+
+    ``prev`` is the previous chunk's last (arrival, id); the returned
+    pair is this chunk's, which the next chunk must start after.
+    """
+    if list(chunk.specs) != specs:
+        raise ValueError(_SPEC_MISMATCH)
+    if (float(arrival_s[0]), int(request_id[0])) <= prev:
+        raise ValueError(_OUT_OF_ORDER)
+    if has_duplicate_ids(request_id):
+        raise ValueError("duplicate request id in chunk")
+    return float(arrival_s[-1]), int(request_id[-1])
 
 
 def _form_batches(
@@ -225,7 +287,10 @@ def _queue_map(specs) -> Tuple[List, np.ndarray]:
     Returns ``(queue_specs, queue_of_spec)``: the representative spec
     per queue in first-appearance order (the reference batcher's queue
     creation order) and an int64 lookup from spec index to queue id.
-    The table validated that same-name specs are identical.
+    The table validated that same-name specs are identical.  The decode
+    engine's core and the process-shard workers in
+    :mod:`repro.runtime.pool` key their queues through it too, so every
+    side agrees on which queue owns which rows.
     """
     queue_ids: dict = {}
     queue_specs: List = []
@@ -413,7 +478,7 @@ def simulate_table(
     faults=None,
     retry=None,
     _formed: Optional[dict] = None,
-) -> "ColumnarServingResult | DecodeColumnarResult":
+) -> "ColumnarServingResult | DecodeColumnarResult | FaultColumnarResult":
     """Run one deployment over a columnar stream; the fast path.
 
     Generative tables (an ``output_len`` column present) route to the
@@ -445,51 +510,26 @@ def simulate_table(
     a dict of queue id -> precomputed phase-1 parts for the canonically
     sorted table.
 
-    ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`) routes
-    prefill and generative tables alike to
-    :func:`~repro.serving.faults.simulate_faulty_table` -- the decode
-    engine's event core with the schedule in force, macro-stepping
-    included -- and returns a
-    :class:`~repro.serving.faults.FaultColumnarResult`; ``retry``
-    customizes its :class:`~repro.serving.faults.RetryPolicy`, and
-    ``threads`` parallelizes its phase 1 as on the decode route.  With
-    ``faults=None`` the no-fault fast path below runs untouched.
+    ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`) runs
+    prefill and generative tables alike on the decode engine's event
+    core with the schedule in force -- macro-stepping included -- and
+    returns a :class:`~repro.serving.faults.FaultColumnarResult`;
+    ``retry`` customizes its :class:`~repro.serving.faults.RetryPolicy`,
+    and ``threads`` parallelizes its phase 1 as on the decode route.
+    With ``faults=None`` the no-fault fast paths run untouched.
     """
-    # Checked before routing so every route rejects it the same way.
-    if threads < 1:
-        raise ValueError("threads must be positive")
-    if faults is not None:
-        from repro.serving.faults import simulate_faulty_table
-
-        if _formed is not None:
-            raise ValueError(
-                "sharded batch formation does not apply under fault injection"
-            )
-        return simulate_faulty_table(
-            table,
-            cost_model,
-            faults,
-            retry=retry,
-            num_devices=num_devices,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            setup_cycles=setup_cycles,
-            recorder=recorder,
-            threads=threads,
-        )
-    if retry is not None:
-        raise ValueError("a retry policy requires a fault schedule")
-    if table.output_len is not None:
+    _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
+    if faults is not None or table.output_len is not None:
         # Generative traffic: decode-step readiness depends on device
-        # timing, so batch formation cannot be precomputed -- route to
-        # the event-driven columnar decode engine.  ``threads``
-        # parallelizes its phase 1 (per-queue cost-vector
-        # construction); the event loop itself stays sequential.
+        # timing, so batch formation cannot be precomputed; a fault
+        # schedule makes dispatch depend on it too.  Both run on the
+        # event-driven columnar decode engine, whose phase 1
+        # (per-queue cost vectors) ``threads`` parallelizes.
         from repro.serving.decode import simulate_decode_table
 
         if _formed is not None:
             raise ValueError(
-                "sharded batch formation does not apply to generative tables"
+                "sharded batch formation applies to fault-free prefill tables only"
             )
         return simulate_decode_table(
             table,
@@ -500,29 +540,17 @@ def simulate_table(
             setup_cycles=setup_cycles,
             recorder=recorder,
             threads=threads,
+            faults=faults,
+            retry=retry,
         )
+    if retry is not None:
+        raise ValueError("a retry policy requires a fault schedule")
     if len(table) == 0:
-        raise ValueError("request stream must not be empty")
-    if num_devices < 1:
-        raise ValueError("at least one device required")
-    if max_batch_size < 1:
-        raise ValueError("max_batch_size must be positive")
-    if max_wait_s < 0:
-        raise ValueError("max_wait_s must be non-negative")
+        raise ValueError(_EMPTY)
     if has_duplicate_ids(table.request_id):
         raise ValueError("duplicate request id in stream")
 
-    order = np.lexsort((table.request_id, table.arrival_s))
-    table = RequestTable(
-        specs=table.specs,
-        request_id=table.request_id[order],
-        arrival_s=table.arrival_s[order],
-        spec_idx=table.spec_idx[order],
-        valid_len=table.valid_len[order],
-        deadline_s=(
-            None if table.deadline_s is None else table.deadline_s[order]
-        ),
-    )
+    table = table.in_canonical_order()
     n = len(table)
     last_arrival_s = float(table.arrival_s[n - 1])
     frequency_hz = cost_model.config.frequency_ghz * 1e9
@@ -664,51 +692,16 @@ def simulate_table(
 
 
 @dataclass
-class CompletedChunk:
-    """Outcome columns for the requests retired by one stream flush.
-
-    Same per-request columns a :class:`ColumnarServingResult` carries,
-    but only for the requests whose batches dispatched in this flush,
-    in batch-grouped order (row order within a chunk is free; the
-    values are bitwise equal to the whole-table run's).  The chunked
-    driver hands these forward and drops them -- downstream consumers
-    (:func:`repro.serving.metrics.summarize_stream`) fold them into
-    fixed-size sketches.
-    """
-
-    specs: List
-    request_id: np.ndarray
-    arrival_s: np.ndarray
-    spec_idx: np.ndarray
-    valid_len: np.ndarray
-    batched_s: np.ndarray
-    service_start_s: np.ndarray
-    finish_s: np.ndarray
-    batch_size: np.ndarray
-    device_id: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.request_id.size)
-
-    @property
-    def latency_s(self) -> np.ndarray:
-        """End-to-end latency column: arrival to completion."""
-        return self.finish_s - self.arrival_s
-
-    @property
-    def queue_wait_s(self) -> np.ndarray:
-        """Arrival to service start (batching + dispatch queueing)."""
-        return self.service_start_s - self.arrival_s
-
-
-@dataclass
 class StreamedServingResult:
     """Run-level aggregates of a chunked out-of-core simulation.
 
-    Everything a whole-table :class:`ColumnarServingResult` reports
-    except the per-request columns themselves, which streamed through
-    the ``sink`` as :class:`CompletedChunk` batches.  Every field is
-    bitwise equal to the whole-table run's.
+    Every stream route returns one -- prefill or generative, with or
+    without a fault schedule.  It carries what a whole-table result
+    reports except the per-request columns, which streamed through the
+    ``sink`` as :class:`~repro.serving.requests.CompletedChunk` batches;
+    every field is bitwise equal to the whole-table run's.  A prefill
+    stream counts one token per request and only prefill batches; the
+    fault fields are zero or empty when no schedule is in force.
     """
 
     completed: int
@@ -719,10 +712,29 @@ class StreamedServingResult:
     batches: int
     size_triggered_batches: int
     timeout_triggered_batches: int
+    prefill_batches: int
+    decode_batches: int
+    total_tokens: int
+    #: Whether the stream carried an ``output_len`` column.
+    generative: bool = False
+    dropped: int = 0
+    #: Dropped counts keyed by reason name (every reason under a
+    #: schedule, empty without one).
+    dropped_by_reason: dict = field(default_factory=dict)
+    #: Per-device outage seconds within [start_s, end_s] (empty
+    #: without a schedule).
+    device_downtime_s: List[float] = field(default_factory=list)
+    retries: int = 0
+    failed_batches: int = 0
+    wasted_energy_pj: float = 0.0
 
     @property
     def duration_s(self) -> float:
         return max(self.end_s - self.start_s, 0.0)
+
+    @property
+    def offered(self) -> int:
+        return self.completed + self.dropped
 
 
 #: Column layout of a per-queue batch "part": batch-level arrays first
@@ -858,30 +870,24 @@ def simulate_stream(
     sink: Optional[Callable[[CompletedChunk], None]] = None,
     faults=None,
     retry=None,
-) -> "StreamedServingResult | DecodeStreamedResult":
+) -> StreamedServingResult:
     """Out-of-core serving simulation over a chunked request stream.
-
-    Generative streams (first non-empty chunk carries an
-    ``output_len`` column) route to the event-driven decode engine:
-    ``sink`` then receives :class:`~repro.serving.decode.
-    DecodeCompletedChunk` columns and the call returns a
-    :class:`~repro.serving.decode.DecodeStreamedResult`.
-
-    With a ``faults`` schedule the run routes to
-    :func:`repro.serving.faults.simulate_faulty_stream`, which feeds
-    the chunks through the decode engine's event core with the
-    schedule in force (``threads`` as on the decode route): ``sink``
-    then receives :class:`~repro.serving.faults.FaultCompletedChunk`
-    columns and the call returns a
-    :class:`~repro.serving.faults.FaultStreamedResult`.
 
     Consumes ``RequestTable`` chunks in arrival order (e.g. from
     :class:`repro.serving.stream.RequestStream`), carrying only the
     O(devices + open batches) frontier between chunks: per-queue
     unsealed tails, sealed-at-horizon batches, device free times, and
     running busy/energy folds.  Completed requests leave immediately
-    as :class:`CompletedChunk` columns through ``sink`` -- peak memory
-    is one chunk plus the frontier, independent of stream length.
+    as :class:`~repro.serving.requests.CompletedChunk` columns through
+    ``sink`` -- peak memory is one chunk plus the frontier, independent
+    of stream length.
+
+    Generative streams (first non-empty chunk carries an
+    ``output_len`` column) and every stream under a ``faults`` schedule
+    (with ``retry`` as in :func:`simulate_table`) run on the
+    event-driven decode engine
+    (:func:`~repro.serving.decode.simulate_decode_stream`); its chunks
+    add the generative and ``attempts`` columns where they apply.
 
     The equivalence contract matches :func:`simulate_table`: for the
     same concatenated stream and knobs, every per-request column value,
@@ -893,47 +899,21 @@ def simulate_stream(
     (arrival, id) must lexicographically follow the previous chunk's
     latest, and all chunks must share one spec list.  Request-id
     uniqueness is enforced within a chunk; across chunks it is the
-    caller's contract (checking it globally would break the O(1)
-    memory bound).
+    caller's contract here (checking it globally would break the O(1)
+    memory bound) -- only fault schedules check it across chunks.
     """
-    if num_devices < 1:
-        raise ValueError("at least one device required")
-    if max_batch_size < 1:
-        raise ValueError("max_batch_size must be positive")
-    if max_wait_s < 0:
-        raise ValueError("max_wait_s must be non-negative")
-    if threads < 1:
-        raise ValueError("threads must be positive")
-    if faults is not None:
-        from repro.serving.faults import simulate_faulty_stream
-
-        return simulate_faulty_stream(
-            chunks,
-            cost_model,
-            faults,
-            retry=retry,
-            num_devices=num_devices,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            setup_cycles=setup_cycles,
-            sink=sink,
-            threads=threads,
-        )
-    if retry is not None:
-        raise ValueError("a retry policy requires a fault schedule")
-
+    _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
     # Peek the first non-empty chunk to route generative streams.
     iterator = iter(chunks)
     first = next(iterator, None)
     while first is not None and len(first) == 0:
         first = next(iterator, None)
-    if first is not None and first.output_len is not None:
-        from itertools import chain as _chain
-
+    chunks = iter(()) if first is None else chain([first], iterator)
+    if faults is not None or (first is not None and first.output_len is not None):
         from repro.serving.decode import simulate_decode_stream
 
         return simulate_decode_stream(
-            _chain([first], iterator),
+            chunks,
             cost_model,
             num_devices=num_devices,
             max_batch_size=max_batch_size,
@@ -941,13 +921,11 @@ def simulate_stream(
             setup_cycles=setup_cycles,
             sink=sink,
             threads=threads,
+            faults=faults,
+            retry=retry,
         )
-    if first is not None:
-        from itertools import chain as _chain
-
-        chunks = _chain([first], iterator)
-    else:
-        chunks = iter(())
+    if retry is not None:
+        raise ValueError("a retry policy requires a fault schedule")
     frequency_hz = cost_model.config.frequency_ghz * 1e9
 
     specs: Optional[List] = None
@@ -962,8 +940,7 @@ def simulate_stream(
     size_triggered_total = 0
     start_s = 0.0
     end_s = -np.inf
-    prev_arrival = -np.inf
-    prev_id = -1
+    prev = (-np.inf, 0)
     pool: Optional[ThreadPoolExecutor] = None
 
     def _advance_and_split(qid: int, horizon, last_arrival):
@@ -1026,26 +1003,13 @@ def simulate_stream(
             request_id = chunk.request_id[order]
             spec_idx = chunk.spec_idx[order]
             valid_len = chunk.valid_len[order]
-            if has_duplicate_ids(request_id):
-                raise ValueError("duplicate request id in chunk")
             if specs is None:
                 specs = list(chunk.specs)
                 queue_specs, queue_of_spec = _queue_map(specs)
                 queues = [_QueueState(spec) for spec in queue_specs]
                 start_s = float(arrival[0])
-            elif list(chunk.specs) != specs:
-                raise ValueError("chunks disagree on the spec list")
-            first_a, first_i = float(arrival[0]), int(request_id[0])
-            if first_a < prev_arrival or (
-                first_a == prev_arrival and first_i <= prev_id
-            ):
-                raise ValueError(
-                    "chunks out of order: a chunk must start strictly "
-                    "after the previous chunk's last (arrival, id)"
-                )
-            prev_arrival = float(arrival[-1])
-            prev_id = int(request_id[-1])
-            horizon = prev_arrival
+            prev = _check_chunk(chunk, specs, request_id, arrival, prev)
+            horizon = prev[0]
 
             rows_list = _group_rows(spec_idx, queue_of_spec, len(queues))
             for qid, rows in enumerate(rows_list):
@@ -1079,12 +1043,10 @@ def simulate_stream(
             _flush([p for p in parts if p is not None])
 
         if specs is None:
-            raise ValueError("request stream must not be empty")
+            raise ValueError(_EMPTY)
         # End of stream: the pending tails seal at the global last
         # arrival and every carried batch dispatches.
-        parts = [
-            _advance_and_split(qid, None, prev_arrival) for qid in range(len(queues))
-        ]
+        parts = [_advance_and_split(qid, None, prev[0]) for qid in range(len(queues))]
         _flush([p for p in parts if p is not None])
     finally:
         if pool is not None:
@@ -1099,4 +1061,7 @@ def simulate_stream(
         batches=batches_total,
         size_triggered_batches=size_triggered_total,
         timeout_triggered_batches=batches_total - size_triggered_total,
+        prefill_batches=batches_total,
+        decode_batches=0,
+        total_tokens=completed_total,
     )

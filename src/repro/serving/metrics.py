@@ -4,14 +4,15 @@ Mirrors the reporting style of :mod:`repro.core.results`: a dataclass
 per aggregate with derived properties and a ``describe()`` that prints
 the table rows the serving experiments lead with.
 
-:func:`summarize` folds either representation of a run -- the
-reference loop's object-based :class:`~repro.serving.scheduler.
-ServingResult` or the fast engine's :class:`~repro.serving.engine.
-ColumnarServingResult` -- into the same :class:`ServingReport`.  The
-columnar path computes latency/wait/violation statistics directly from
-the result's columns (no per-request objects); both paths evaluate the
-same floating-point expressions over the same values in the same
-order, so an equivalent run summarizes to an identical report.
+:func:`summarize` folds any representation of a run -- a reference
+loop's object-based result or a columnar engine's, prefill, generative
+or fault-mode -- into the same :class:`ServingReport`.  Every result
+hands over its completed requests as one
+:class:`~repro.serving.requests.CompletedChunk` (``completed_rows()``),
+the same row shape the stream drivers feed :func:`summarize_stream`,
+and one report builder serves both functions.  Equivalent runs hand
+over the same values in the same order, so they summarize to an
+identical report.
 
 ``summarize(..., exact=False)`` swaps the percentile computation onto
 :class:`~repro.obs.streaming.StreamingHistogram` sketches -- the
@@ -26,17 +27,14 @@ The sketch's p50/p95/p99 carry its documented relative error bound
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.obs.streaming import StreamingHistogram
-from repro.serving.decode import DecodeColumnarResult
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
-from repro.serving.engine import ColumnarServingResult, simulate_stream
-from repro.serving.faults import DROP_REASON_NAMES, FaultColumnarResult
-from repro.serving.requests import RequestTable
-from repro.serving.scheduler import GenerativeResult, ServingResult
+from repro.serving.engine import simulate_stream
+from repro.serving.requests import CompletedChunk, RequestTable
 
 
 @dataclass(frozen=True)
@@ -242,14 +240,125 @@ class ServingReport:
         return "\n".join(lines)
 
 
+class _RowFold:
+    """Completed-row chunks folded into a report's populations.
+
+    Usable as a stream ``sink``.  ``exact`` keeps every sample for
+    exact order statistics; otherwise each population is a
+    :class:`~repro.obs.streaming.StreamingHistogram` sketch.  TTFT/TBT
+    fold for generative rows (TBT over multi-token requests), and the
+    retried-completion latencies for rows that carry ``attempts``.
+    """
+
+    POPULATIONS = ("latency", "queue_wait", "ttft", "tbt", "retried")
+
+    def __init__(self, exact: bool, sla_s: Optional[float]):
+        self.exact = exact
+        self.sla_s = sla_s
+        self.samples = {
+            name: [] if exact else StreamingHistogram() for name in self.POPULATIONS
+        }
+        self.count = 0
+        self.batch_size_sum = 0
+        self.violations = 0
+        self.retried = 0
+
+    def _add(self, name: str, values: np.ndarray) -> None:
+        if self.exact:
+            self.samples[name].append(values)
+        else:
+            self.samples[name].add_many(values)
+
+    def __call__(self, rows: CompletedChunk) -> None:
+        latencies = rows.latency_s
+        self._add("latency", latencies)
+        self._add("queue_wait", rows.queue_wait_s)
+        if rows.output_len is not None:
+            self._add("ttft", rows.ttft_s)
+            tbt = rows.tbt_s
+            self._add("tbt", tbt[np.isfinite(tbt)])
+        if rows.attempts is not None:
+            retried = latencies[rows.attempts >= 2]
+            self._add("retried", retried)
+            self.retried += int(retried.size)
+        self.count += len(rows)
+        # Integer fold: exact, and equal to np.mean's float sum for any
+        # realistic stream (batch sizes sum far below 2**53).
+        self.batch_size_sum += int(np.sum(rows.batch_size))
+        if self.sla_s is not None:
+            self.violations += int(np.count_nonzero(latencies > self.sla_s))
+
+    def stats(self, name: str) -> LatencyStats:
+        samples = self.samples[name]
+        if self.exact:
+            return LatencyStats.from_samples(
+                np.concatenate(samples) if samples else np.empty(0)
+            )
+        return LatencyStats.from_sketch(samples)
+
+
+def _report(
+    result,
+    fold: _RowFold,
+    generative: bool,
+    faulted: bool,
+    config: str,
+    mode: str,
+    pattern: str,
+    offered_rps: float,
+) -> ServingReport:
+    """The one report builder: ``fold`` holds the completed rows,
+    ``result`` the run-level aggregates."""
+    duration = result.duration_s
+    span = duration if duration > 0 else float("inf")
+    busy = np.asarray(result.device_busy_s, dtype=np.float64)
+    n = fold.count
+    if generative:
+        # Mean *step*-batch occupancy: token steps over step batches.
+        mean_batch = result.total_tokens / result.batches if result.batches else 0.0
+    else:
+        mean_batch = fold.batch_size_sum / n if n else 0.0
+    fault_kwargs: dict = {}
+    if faulted:
+        by_reason = dict(result.dropped_by_reason)
+        downtime = np.asarray(result.device_downtime_s, dtype=np.float64)
+        fault_kwargs = dict(
+            faulted=True,
+            dropped_requests=sum(by_reason.values()),
+            dropped_by_reason=by_reason,
+            retries=result.retries,
+            retried_completed=fold.retried,
+            failed_batches=result.failed_batches,
+            wasted_energy_uj=result.wasted_energy_pj / 1e6,
+            availability=(
+                float(1.0 - np.mean(downtime / span)) if downtime.size else 1.0
+            ),
+            retried_latency=fold.stats("retried"),
+        )
+    return ServingReport(
+        config=config,
+        mode=mode,
+        pattern=pattern,
+        offered_rps=offered_rps,
+        requests=n,
+        duration_s=duration,
+        latency=fold.stats("latency"),
+        queue_wait=fold.stats("queue_wait"),
+        throughput_rps=n / span,
+        utilization=float(np.mean(busy / span)) if busy.size else 0.0,
+        mean_batch_size=mean_batch,
+        energy_uj=float(sum(result.device_energy_pj)) / 1e6,
+        sla_s=fold.sla_s,
+        sla_violations=fold.violations,
+        ttft=fold.stats("ttft") if generative else None,
+        tbt=fold.stats("tbt") if generative else None,
+        total_tokens=result.total_tokens if generative else 0,
+        **fault_kwargs,
+    )
+
+
 def summarize(
-    result: Union[
-        ServingResult,
-        ColumnarServingResult,
-        GenerativeResult,
-        DecodeColumnarResult,
-        FaultColumnarResult,
-    ],
+    result,
     config: str,
     mode: str,
     pattern: str,
@@ -258,6 +367,13 @@ def summarize(
     exact: bool = True,
 ) -> ServingReport:
     """Fold one run (object-based or columnar) into a report.
+
+    ``result`` is any simulator's result: the reference loops'
+    :class:`~repro.serving.scheduler.ServingResult` /
+    :class:`~repro.serving.scheduler.GenerativeResult`, or the columnar
+    :class:`~repro.serving.engine.ColumnarServingResult`,
+    :class:`~repro.serving.decode.DecodeColumnarResult` and
+    :class:`~repro.serving.faults.FaultColumnarResult`.
 
     ``exact=False`` computes the latency and queue-wait percentiles
     from :class:`~repro.obs.streaming.StreamingHistogram` sketches
@@ -268,175 +384,35 @@ def summarize(
     identical either way; p50/p95/p99 differ from the exact report by
     at most the sketch's documented relative error bound.
 
-    Generative results (reference or columnar) additionally fill the
-    ``ttft``/``tbt``/``total_tokens`` fields; for them ``latency`` is
-    arrival-to-last-token, SLA violations stay on that end-to-end
-    latency, and ``mean_batch_size`` is mean *step*-batch occupancy
-    (total token steps over step batches).  TBT percentiles cover the
-    multi-token requests (single-token requests have no decode gaps).
+    Generative results (rows with an ``output_len`` column)
+    additionally fill the ``ttft``/``tbt``/``total_tokens`` fields;
+    for them ``latency`` is arrival-to-last-token, SLA violations stay
+    on that end-to-end latency, and ``mean_batch_size`` is mean
+    *step*-batch occupancy (total token steps over step batches).  TBT
+    percentiles cover the multi-token requests (single-token requests
+    have no decode gaps).
 
-    Fault-mode results (:class:`~repro.serving.faults.
-    FaultColumnarResult`, or a reference result whose run had a fault
-    schedule) also fill the degraded-fleet fields: drops by reason,
-    retry counts, lost-batch energy, availability, and the latency
-    population of retried completions.  ``requests`` / ``throughput``
-    then cover *completed* requests only (goodput); compare against
-    :attr:`ServingReport.offered_requests` for the loss.
+    Fault-mode results (rows with an ``attempts`` column: a
+    :class:`~repro.serving.faults.FaultColumnarResult`, or a reference
+    result whose run had a fault schedule) also fill the degraded-fleet
+    fields: drops by reason, retry counts, lost-batch energy,
+    availability, and the latency population of retried completions.
+    ``requests`` / ``throughput`` then cover *completed* requests only
+    (goodput); compare against :attr:`ServingReport.offered_requests`
+    for the loss.
     """
-    ttfts = tbts = None
-    tokens = 0
-    step_mean_batch = None
-    retried_lat = None
-    if isinstance(result, FaultColumnarResult):
-        mask = result.completed
-        latencies = result.latency_s
-        waits = result.queue_wait_s
-        if result.generative:
-            ttfts = result.ttft_s
-            tbts = result.tbt_s
-            tokens = result.total_tokens
-            sizes = None
-            step_mean_batch = (
-                result.total_tokens / result.batches if result.batches else 0.0
-            )
-        else:
-            sizes = result.batch_size[mask]
-        retried_lat = latencies[result.attempts[mask] >= 2]
-    elif isinstance(result, DecodeColumnarResult):
-        latencies = result.latency_s
-        waits = result.queue_wait_s
-        ttfts = result.ttft_s
-        tbts = result.tbt_s[np.isfinite(result.tbt_s)]
-        tokens = result.total_tokens
-        sizes = None
-        step_mean_batch = (
-            result.total_tokens / result.batches if result.batches else 0.0
-        )
-    elif isinstance(result, GenerativeResult):
-        latencies = np.array(
-            [rec.latency_s for rec in result.records], dtype=np.float64
-        )
-        waits = np.array([rec.queue_wait_s for rec in result.records], dtype=np.float64)
-        ttfts = np.array([rec.ttft_s for rec in result.records], dtype=np.float64)
-        tbts = np.array([rec.tbt_s for rec in result.records], dtype=np.float64)
-        tbts = tbts[np.isfinite(tbts)]
-        tokens = result.total_tokens
-        sizes = None
-        step_mean_batch = (
-            result.total_tokens / result.batches if result.batches else 0.0
-        )
-    elif isinstance(result, ColumnarServingResult):
-        # Array-native: latency/wait columns are single vector ops over
-        # the struct-of-arrays result -- no per-request objects.
-        latencies = result.latency_s
-        waits = result.queue_wait_s
-        sizes = result.batch_size
-    else:
-        latencies = np.array(
-            [rec.latency_s for rec in result.records], dtype=np.float64
-        )
-        waits = np.array([rec.queue_wait_s for rec in result.records], dtype=np.float64)
-        sizes = np.array([rec.batch_size for rec in result.records], dtype=np.int64)
-    duration = result.duration_s
-    span = duration if duration > 0 else float("inf")
-    busy = np.asarray(result.device_busy_s, dtype=np.float64)
-    utilization = float(np.mean(busy / span)) if busy.size else 0.0
-    violations = (int(np.count_nonzero(latencies > sla_s)) if sla_s is not None else 0)
-
-    # Fault accounting: the columnar fault result carries columns; the
-    # reference results carry it on their records/dropped lists (their
-    # ``device_downtime_s`` is non-empty exactly on fault runs).
-    n_completed = result.completed
-    fault_kwargs: dict = {}
-    if isinstance(result, FaultColumnarResult):
-        n_completed = result.completed_count
-        by_reason = {name: 0 for name in DROP_REASON_NAMES.values()}
-        for row in result.drop_order:
-            by_reason[DROP_REASON_NAMES[int(result.drop_reason[row])]] += 1
-        fault_kwargs = dict(
-            dropped_requests=result.dropped_count,
-            dropped_by_reason=by_reason,
-            retries=result.retries,
-            retried_completed=int(retried_lat.size),
-            failed_batches=result.failed_batches,
-            wasted_energy_uj=result.wasted_energy_pj / 1e6,
-        )
-    elif getattr(result, "device_downtime_s", None):
-        retried_lat = np.array(
-            [rec.latency_s for rec in result.records if rec.attempts >= 2],
-            dtype=np.float64,
-        )
-        by_reason = {name: 0 for name in DROP_REASON_NAMES.values()}
-        for dropped in result.dropped:
-            by_reason[dropped.reason] += 1
-        fault_kwargs = dict(
-            dropped_requests=len(result.dropped),
-            dropped_by_reason=by_reason,
-            retries=result.retries,
-            retried_completed=int(retried_lat.size),
-            failed_batches=result.failed_batches,
-            wasted_energy_uj=result.wasted_energy_pj / 1e6,
-        )
-    if fault_kwargs:
-        downtime = np.asarray(result.device_downtime_s, dtype=np.float64)
-        fault_kwargs["faulted"] = True
-        fault_kwargs["availability"] = (
-            float(1.0 - np.mean(downtime / span)) if downtime.size else 1.0
-        )
-
-    ttft_stats = tbt_stats = None
-    retried_stats = None
-    if exact:
-        latency_stats = LatencyStats.from_samples(latencies)
-        wait_stats = LatencyStats.from_samples(waits)
-        if ttfts is not None:
-            ttft_stats = LatencyStats.from_samples(ttfts)
-            tbt_stats = LatencyStats.from_samples(tbts)
-        if fault_kwargs:
-            retried_stats = LatencyStats.from_samples(retried_lat)
-    else:
-        latency_sketch = StreamingHistogram()
-        latency_sketch.add_many(latencies)
-        wait_sketch = StreamingHistogram()
-        wait_sketch.add_many(waits)
-        latency_stats = LatencyStats.from_sketch(latency_sketch)
-        wait_stats = LatencyStats.from_sketch(wait_sketch)
-        if ttfts is not None:
-            ttft_sketch = StreamingHistogram()
-            ttft_sketch.add_many(ttfts)
-            tbt_sketch = StreamingHistogram()
-            tbt_sketch.add_many(tbts)
-            ttft_stats = LatencyStats.from_sketch(ttft_sketch)
-            tbt_stats = LatencyStats.from_sketch(tbt_sketch)
-        if fault_kwargs:
-            retried_sketch = StreamingHistogram()
-            retried_sketch.add_many(retried_lat)
-            retried_stats = LatencyStats.from_sketch(retried_sketch)
-    if fault_kwargs:
-        fault_kwargs["retried_latency"] = retried_stats
-    return ServingReport(
-        config=config,
-        mode=mode,
-        pattern=pattern,
-        offered_rps=offered_rps,
-        requests=n_completed,
-        duration_s=duration,
-        latency=latency_stats,
-        queue_wait=wait_stats,
-        throughput_rps=n_completed / span,
-        utilization=utilization,
-        mean_batch_size=(
-            step_mean_batch
-            if step_mean_batch is not None
-            else float(np.mean(sizes)) if sizes.size else 0.0
-        ),
-        energy_uj=float(sum(result.device_energy_pj)) / 1e6,
-        sla_s=sla_s,
-        sla_violations=violations,
-        ttft=ttft_stats,
-        tbt=tbt_stats,
-        total_tokens=tokens,
-        **fault_kwargs,
+    rows = result.completed_rows()
+    fold = _RowFold(exact, sla_s)
+    fold(rows)
+    return _report(
+        result,
+        fold,
+        rows.output_len is not None,
+        rows.attempts is not None,
+        config,
+        mode,
+        pattern,
+        offered_rps,
     )
 
 
@@ -478,54 +454,11 @@ def summarize_stream(
     same way (TBT over multi-token requests), so the decode-phase tail
     percentiles also come out of O(1) memory.
 
-    A ``faults`` schedule routes the run through the fault-injection
-    engine; the report then carries the degraded-fleet fields and a
-    retried-completion latency sketch built by merging one small
-    per-chunk sketch per flush (most are empty -- the merge is a
-    no-op on them).
+    A ``faults`` schedule runs the stream with device outages in
+    force; the report then carries the degraded-fleet fields and a
+    retried-completion latency sketch.
     """
-    from repro.obs.streaming import Counter
-    from repro.serving.faults import FaultCompletedChunk
-
-    latency_sketch = StreamingHistogram()
-    wait_sketch = StreamingHistogram()
-    ttft_sketch = StreamingHistogram()
-    tbt_sketch = StreamingHistogram()
-    retried_sketch = StreamingHistogram()
-    retried_counter = Counter("retried_completed")
-    batch_size_sum = 0
-    violations = 0
-    generative = False
-
-    def _fold(completed) -> None:
-        nonlocal batch_size_sum, violations, generative
-        latencies = completed.latency_s
-        latency_sketch.add_many(latencies)
-        wait_sketch.add_many(completed.queue_wait_s)
-        if isinstance(completed, FaultCompletedChunk):
-            is_generative = completed.generative
-            retried = completed.attempts >= 2
-            # Per-chunk sketch merged in: chunks with zero retried
-            # completions merge an empty sketch (and inc the counter
-            # by 0) -- pinned edge cases of the streaming primitives.
-            local = StreamingHistogram()
-            local.add_many(latencies[retried])
-            retried_sketch.merge(local)
-            retried_counter.inc(int(np.count_nonzero(retried)))
-        else:
-            is_generative = hasattr(completed, "ttft_s")
-        if is_generative:
-            generative = True
-            ttft_sketch.add_many(completed.ttft_s)
-            tbt = completed.tbt_s
-            tbt_sketch.add_many(tbt[np.isfinite(tbt)])
-        else:
-            # Integer fold: exact, and equal to np.mean's float sum for
-            # any realistic stream (batch sizes sum far below 2**53).
-            batch_size_sum += int(np.sum(completed.batch_size))
-        if sla_s is not None:
-            violations += int(np.count_nonzero(latencies > sla_s))
-
+    fold = _RowFold(False, sla_s)
     result = simulate_stream(
         chunks,
         cost_model,
@@ -534,50 +467,17 @@ def summarize_stream(
         max_wait_s=max_wait_s,
         setup_cycles=setup_cycles,
         threads=threads,
-        sink=_fold,
+        sink=fold,
         faults=faults,
         retry=retry,
     )
-    duration = result.duration_s
-    span = duration if duration > 0 else float("inf")
-    busy = np.asarray(result.device_busy_s, dtype=np.float64)
-    if generative:
-        mean_batch = (result.total_tokens / result.batches if result.batches else 0.0)
-    else:
-        mean_batch = (batch_size_sum / result.completed if result.completed else 0.0)
-    fault_kwargs: dict = {}
-    if faults is not None:
-        downtime = np.asarray(result.device_downtime_s, dtype=np.float64)
-        fault_kwargs = dict(
-            faulted=True,
-            dropped_requests=result.dropped,
-            dropped_by_reason=dict(result.dropped_by_reason),
-            retries=result.retries,
-            retried_completed=retried_counter.value,
-            failed_batches=result.failed_batches,
-            wasted_energy_uj=result.wasted_energy_pj / 1e6,
-            availability=(
-                float(1.0 - np.mean(downtime / span)) if downtime.size else 1.0
-            ),
-            retried_latency=LatencyStats.from_sketch(retried_sketch),
-        )
-    return ServingReport(
-        config=config,
-        mode=mode,
-        pattern=pattern,
-        offered_rps=offered_rps,
-        requests=result.completed,
-        duration_s=duration,
-        latency=LatencyStats.from_sketch(latency_sketch),
-        queue_wait=LatencyStats.from_sketch(wait_sketch),
-        throughput_rps=result.completed / span,
-        utilization=float(np.mean(busy / span)) if busy.size else 0.0,
-        mean_batch_size=mean_batch,
-        energy_uj=float(sum(result.device_energy_pj)) / 1e6,
-        sla_s=sla_s,
-        sla_violations=violations,
-        ttft=LatencyStats.from_sketch(ttft_sketch) if generative else None,
-        tbt=LatencyStats.from_sketch(tbt_sketch) if generative else None,
-        total_tokens=result.total_tokens if generative else 0,
-        **fault_kwargs,
+    return _report(
+        result,
+        fold,
+        result.generative,
+        faults is not None,
+        config,
+        mode,
+        pattern,
+        offered_rps,
     )

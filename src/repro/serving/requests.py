@@ -330,3 +330,80 @@ class RequestTable:
             output_len=None if out is None else out[lo:hi].copy(),
             deadline_s=None if dl is None else dl[lo:hi].copy(),
         )
+
+    def in_canonical_order(self) -> "RequestTable":
+        """Rows sorted by (arrival_s, request_id): the order every
+        simulator admits arrivals in (the reference loop's record
+        order)."""
+        order = np.lexsort((self.request_id, self.arrival_s))
+        out = self.output_len
+        dl = self.deadline_s
+        return RequestTable(
+            specs=self.specs,
+            request_id=self.request_id[order],
+            arrival_s=self.arrival_s[order],
+            spec_idx=self.spec_idx[order],
+            valid_len=self.valid_len[order],
+            output_len=None if out is None else out[order],
+            deadline_s=None if dl is None else dl[order],
+        )
+
+
+@dataclass
+class CompletedChunk:
+    """Outcome columns for a set of completed requests.
+
+    The chunked drivers hand one to their ``sink`` per flush (rows in
+    completion order, values bitwise equal to the whole-table run's),
+    and every serving result returns its completed requests as one
+    through ``completed_rows()`` -- the single row shape
+    :mod:`repro.serving.metrics` folds.  For generative requests the
+    batch columns describe the prefill batch.
+    """
+
+    specs: List[ModelSpec]
+    request_id: np.ndarray
+    arrival_s: np.ndarray
+    spec_idx: np.ndarray
+    valid_len: np.ndarray
+    batched_s: np.ndarray
+    service_start_s: np.ndarray
+    finish_s: np.ndarray
+    batch_size: np.ndarray
+    device_id: np.ndarray
+    #: Generative streams only (an ``output_len`` column): first-token
+    #: instant and summed decode batch occupancy per request.
+    output_len: Optional[np.ndarray] = None
+    first_token_s: Optional[np.ndarray] = None
+    decode_slots: Optional[np.ndarray] = None
+    #: Dispatch attempts per request, under a fault schedule only.
+    attempts: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return int(self.request_id.size)
+
+    @property
+    def latency_s(self) -> np.ndarray:
+        """End-to-end latency: arrival to completion (last token)."""
+        return self.finish_s - self.arrival_s
+
+    @property
+    def queue_wait_s(self) -> np.ndarray:
+        """Arrival to (prefill) service start."""
+        return self.service_start_s - self.arrival_s
+
+    @property
+    def ttft_s(self) -> np.ndarray:
+        """Time to first token (generative rows only)."""
+        return self.first_token_s - self.arrival_s
+
+    @property
+    def tbt_s(self) -> np.ndarray:
+        """Mean time between tokens (NaN for single-token requests)."""
+        steps = (self.output_len - 1).astype(np.float64)
+        return np.divide(
+            self.finish_s - self.first_token_s,
+            steps,
+            out=np.full(steps.shape, np.nan),
+            where=steps > 0,
+        )

@@ -22,6 +22,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.obs.trace import TraceRecorder
 from repro.serving.batching import (
     ContinuousBatcher,
@@ -31,11 +33,78 @@ from repro.serving.batching import (
 )
 from repro.serving.devices import SprintDevice
 from repro.serving.events import EventKind, EventQueue
-from repro.serving.requests import Batch, Request, RequestRecord
+from repro.serving.faults import (
+    DroppedRecord,
+    _emit_fault_trace,
+    count_drop_reasons,
+    retry_in_force,
+)
+from repro.serving.requests import (
+    Batch,
+    CompletedChunk,
+    Request,
+    RequestRecord,
+    RequestTable,
+)
+
+
+class _ReferenceResult:
+    """What the reference loops' result types share."""
+
+    @property
+    def duration_s(self) -> float:
+        return max(self.end_s - self.start_s, 0.0)
+
+    @property
+    def completed(self) -> int:
+        return len(self.records)
+
+    @property
+    def offered(self) -> int:
+        return len(self.records) + len(self.dropped)
+
+    @property
+    def dropped_by_reason(self) -> dict:
+        return count_drop_reasons(d.reason for d in self.dropped)
+
+    def _rows(self, batch_fields: Sequence[str], generative: bool) -> CompletedChunk:
+        """Completed records as columns, in record order.
+
+        ``batch_fields`` names the record's (batched, service start,
+        batch size, device) fields; ``attempts`` is carried only when
+        the run had a fault schedule.
+        """
+        records = self.records
+        table = RequestTable.from_requests([rec.request for rec in records])
+
+        def col(name, dtype=np.float64):
+            return np.array([getattr(rec, name) for rec in records], dtype=dtype)
+
+        batched, started, size, device = batch_fields
+        return CompletedChunk(
+            specs=table.specs,
+            request_id=table.request_id,
+            arrival_s=table.arrival_s,
+            spec_idx=table.spec_idx,
+            valid_len=table.valid_len,
+            batched_s=col(batched),
+            service_start_s=col(started),
+            finish_s=col("finish_s"),
+            batch_size=col(size, np.int64),
+            device_id=col(device, np.int64),
+            output_len=(
+                np.array([rec.request.output_len for rec in records], dtype=np.int64)
+                if generative
+                else None
+            ),
+            first_token_s=col("first_token_s") if generative else None,
+            decode_slots=col("decode_slots", np.int64) if generative else None,
+            attempts=col("attempts", np.int64) if self.device_downtime_s else None,
+        )
 
 
 @dataclass
-class ServingResult:
+class ServingResult(_ReferenceResult):
     """Everything one simulation run produced.
 
     The fault-layer fields keep their zero defaults on fault-free runs,
@@ -68,17 +137,10 @@ class ServingResult:
     #: scheduled retry.
     retry_events: list = field(default_factory=list)
 
-    @property
-    def duration_s(self) -> float:
-        return max(self.end_s - self.start_s, 0.0)
-
-    @property
-    def completed(self) -> int:
-        return len(self.records)
-
-    @property
-    def offered(self) -> int:
-        return len(self.records) + len(self.dropped)
+    def completed_rows(self) -> CompletedChunk:
+        return self._rows(
+            ("batched_s", "service_start_s", "batch_size", "device_id"), False
+        )
 
 
 class ServingSimulator:
@@ -117,15 +179,7 @@ class ServingSimulator:
         devices = list(devices)
         if not devices:
             raise ValueError("at least one device required")
-        if faults is None:
-            if retry is not None:
-                raise ValueError("a retry policy requires a fault schedule")
-        else:
-            faults.validate_for(len(devices))
-            if retry is None:
-                from repro.serving.faults import RetryPolicy
-
-                retry = RetryPolicy()
+        retry = retry_in_force(faults, retry, len(devices))
         self.devices = devices
         self.batcher = batcher
         self.recorder = recorder
@@ -177,8 +231,6 @@ class ServingSimulator:
         failed_batches = 0
         wasted_energy_pj = 0.0
         if faults is not None:
-            from repro.serving.faults import DroppedRecord
-
             originals = {r.request_id: r for r in requests}
 
         for r in requests:
@@ -354,8 +406,6 @@ class ServingSimulator:
                     batch_size=rec.batch_size,
                 )
             if faults is not None:
-                from repro.serving.faults import _emit_fault_trace
-
                 _emit_fault_trace(
                     self.recorder,
                     faults,
@@ -442,7 +492,7 @@ class DecodeRecord:
 
 
 @dataclass
-class GenerativeResult:
+class GenerativeResult(_ReferenceResult):
     """Everything one generative (continuous-batching) run produced."""
 
     records: List[DecodeRecord] = field(default_factory=list)
@@ -466,17 +516,16 @@ class GenerativeResult:
     device_downtime_s: List[float] = field(default_factory=list)
     retry_events: list = field(default_factory=list)
 
-    @property
-    def duration_s(self) -> float:
-        return max(self.end_s - self.start_s, 0.0)
-
-    @property
-    def completed(self) -> int:
-        return len(self.records)
-
-    @property
-    def offered(self) -> int:
-        return len(self.records) + len(self.dropped)
+    def completed_rows(self) -> CompletedChunk:
+        return self._rows(
+            (
+                "prefill_batched_s",
+                "prefill_start_s",
+                "prefill_batch_size",
+                "prefill_device_id",
+            ),
+            True,
+        )
 
 
 class GenerativeServingSimulator:
@@ -513,15 +562,7 @@ class GenerativeServingSimulator:
         devices = list(devices)
         if not devices:
             raise ValueError("at least one device required")
-        if faults is None:
-            if retry is not None:
-                raise ValueError("a retry policy requires a fault schedule")
-        else:
-            faults.validate_for(len(devices))
-            if retry is None:
-                from repro.serving.faults import RetryPolicy
-
-                retry = RetryPolicy()
+        retry = retry_in_force(faults, retry, len(devices))
         self.devices = devices
         self.batcher = batcher
         self.recorder = recorder
@@ -565,9 +606,6 @@ class GenerativeServingSimulator:
         retries = 0
         failed_batches = 0
         wasted_energy_pj = 0.0
-        if faults is not None:
-            from repro.serving.faults import DroppedRecord
-
         for r in requests:
             queue.push(r.arrival_s, EventKind.ARRIVAL, r)
         if faults is not None:
@@ -787,8 +825,6 @@ class GenerativeServingSimulator:
                     tokens=rec.request.output_len - 1,
                 )
             if faults is not None:
-                from repro.serving.faults import _emit_fault_trace
-
                 _emit_fault_trace(
                     self.recorder,
                     faults,

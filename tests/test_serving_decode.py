@@ -231,13 +231,19 @@ class TestChunkedDecodeStream:
         )
         got = {}
 
+        # Chunk column -> the whole-table result's name for it.
+        names = {
+            "request_id": "request_id", "arrival_s": "arrival_s",
+            "spec_idx": "spec_idx", "valid_len": "valid_len",
+            "output_len": "output_len", "batched_s": "prefill_batched_s",
+            "service_start_s": "prefill_start_s",
+            "first_token_s": "first_token_s", "finish_s": "finish_s",
+            "batch_size": "prefill_batch_size",
+            "device_id": "prefill_device_id", "decode_slots": "decode_slots",
+        }
+
         def sink(c):
-            for name in (
-                "request_id", "arrival_s", "spec_idx", "valid_len",
-                "output_len", "prefill_batched_s", "prefill_start_s",
-                "first_token_s", "finish_s", "prefill_batch_size",
-                "prefill_device_id", "decode_slots",
-            ):
+            for name in names:
                 got.setdefault(name, []).append(getattr(c, name))
 
         res = simulate_stream(
@@ -248,7 +254,7 @@ class TestChunkedDecodeStream:
         worder = np.argsort(whole.request_id, kind="stable")
         for name, col in cols.items():
             assert np.array_equal(
-                col[order], getattr(whole, name)[worder]
+                col[order], getattr(whole, names[name])[worder]
             ), name
         for field in (
             "completed", "start_s", "end_s", "device_busy_s",

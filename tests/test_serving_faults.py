@@ -19,8 +19,10 @@ import pytest
 from repro.core.configs import S_SPRINT
 from repro.core.system import ExecutionMode
 from repro.obs.trace import TraceConfig, TraceRecorder
+from repro.models.zoo import get_model
 from repro.serving import (
     BurstyProcess,
+    CompletedChunk,
     ContinuousBatcher,
     DynamicBatcher,
     FaultSchedule,
@@ -32,14 +34,13 @@ from repro.serving import (
     SprintDevice,
     TraceProcess,
     generate_request_table,
-    simulate_faulty_stream,
-    simulate_faulty_table,
+    simulate_decode_stream,
     simulate_stream,
     simulate_table,
     summarize,
     summarize_stream,
 )
-from repro.serving import faults as faults_module
+from repro.serving import decode as decode_module
 from repro.serving.decode import _DecodeCore
 
 SEEDS = (0, 1, 7)
@@ -107,10 +108,10 @@ def run_reference(table, cost, faults, retry, num_devices, max_wait_s,
 def assert_fault_runs_equal(table, cost, faults, retry, num_devices,
                             max_wait_s, max_batch_size=8):
     """Run the fault core and the reference loop; everything must match."""
-    fast = simulate_faulty_table(
+    fast = simulate_table(
         table,
         cost,
-        faults,
+        faults=faults,
         retry=retry,
         num_devices=num_devices,
         max_batch_size=max_batch_size,
@@ -272,10 +273,10 @@ class TestFaultEquivalence:
         plain = simulate_table(
             table, cost_model, num_devices=2, max_wait_s=2e-3
         ).to_result()
-        faulted = simulate_faulty_table(
+        faulted = simulate_table(
             table,
             cost_model,
-            FaultSchedule.none(2),
+            faults=FaultSchedule.none(2),
             num_devices=2,
             max_wait_s=2e-3,
         ).to_result()
@@ -410,7 +411,7 @@ class TestMacroStepUnderFaults:
         table = decode_heavy_table(cost_model)
         down = float(table.arrival_s[20])
         forever = FaultSchedule.from_intervals([[(down, np.inf)], []])
-        simulate_faulty_table(table, cost_model, forever, num_devices=2)
+        simulate_table(table, cost_model, faults=forever, num_devices=2)
         start, end, _ = longest_run(macro_runs, 1, after=down)
         recover = 0.5 * (start + end)
         macro_runs.clear()
@@ -437,7 +438,9 @@ class TestMacroStepUnderFaults:
         faults = FaultSchedule.from_intervals([[(fail, np.inf)], []])
         # Without retries, find the run the retry should interrupt.
         no_retry = RetryPolicy(max_attempts=1)
-        simulate_faulty_table(table, cost_model, faults, no_retry, num_devices=2)
+        simulate_table(
+            table, cost_model, faults=faults, retry=no_retry, num_devices=2
+        )
         start, end, _ = longest_run(macro_runs, 1, after=fail)
         retry = RetryPolicy(backoff_base_s=0.5 * (start + end) - fail)
         macro_runs.clear()
@@ -489,10 +492,10 @@ class TestConservation:
         )
         cost_model.prime(table.specs[0], table.valid_len)
         faults = make_schedule("exponential", num_devices, seed=seed)
-        result = simulate_faulty_table(
+        result = simulate_table(
             table,
             cost_model,
-            faults,
+            faults=faults,
             retry=RetryPolicy(),
             num_devices=num_devices,
             max_wait_s=2e-3,
@@ -536,8 +539,8 @@ class TestConservation:
             sla_s=0.1,
         )
         fast = summarize(
-            simulate_faulty_table(
-                table, cost_model, faults, num_devices=2, max_wait_s=2e-3
+            simulate_table(
+                table, cost_model, faults=faults, num_devices=2, max_wait_s=2e-3
             ),
             **kwargs,
         )
@@ -570,18 +573,18 @@ class TestFaultStream:
         )
         cost_model.prime(table.specs[0], table.valid_len)
         faults = make_schedule("exponential", 2)
-        whole = simulate_faulty_table(
-            table, cost_model, faults, num_devices=2, max_wait_s=2e-3
+        whole = simulate_table(
+            table, cost_model, faults=faults, num_devices=2, max_wait_s=2e-3
         )
         chunks = [
             table.slice(lo, min(lo + chunk_size, len(table)))
             for lo in range(0, len(table), chunk_size)
         ]
         collected = []
-        streamed = simulate_faulty_stream(
+        streamed = simulate_stream(
             chunks,
             cost_model,
-            faults,
+            faults=faults,
             num_devices=2,
             max_wait_s=2e-3,
             sink=collected.append,
@@ -599,16 +602,27 @@ class TestFaultStream:
         assert streamed.failed_batches == whole.failed_batches
         assert streamed.wasted_energy_pj == whole.wasted_energy_pj
         assert streamed.total_tokens == whole.total_tokens
-        # Sink chunks carry every completed request exactly once, with
-        # the same attempts column the table run recorded.
+        assert streamed.generative == generative
+        # Sink chunks carry every completed request exactly once, every
+        # column equal to the table run's completed rows; generative
+        # columns only for generative tables, attempts always.
+        rows = whole.completed_rows()
+        assert (rows.output_len is not None) == generative
+        assert rows.attempts is not None
         ids = np.concatenate([c.request_id for c in collected])
-        attempts = np.concatenate([c.attempts for c in collected])
-        mask = whole.completed
-        by_id = dict(zip(ids.tolist(), attempts.tolist()))
-        table_ids = whole.table.request_id[mask]
-        assert sorted(ids.tolist()) == sorted(table_ids.tolist())
-        for rid, att in zip(table_ids, whole.attempts[mask]):
-            assert by_id[int(rid)] == int(att)
+        got_order = np.argsort(ids, kind="stable")
+        want_order = np.argsort(rows.request_id, kind="stable")
+        for field in dataclasses.fields(CompletedChunk):
+            if field.name == "specs":
+                continue
+            want = getattr(rows, field.name)
+            got = [getattr(c, field.name) for c in collected]
+            if want is None:
+                assert all(g is None for g in got), field.name
+                continue
+            got = np.concatenate(got)
+            assert got.dtype == want.dtype, field.name
+            assert np.array_equal(got[got_order], want[want_order]), field.name
 
     def test_summarize_stream_matches_exact_fault_summary(self, cost_model):
         table = generate_request_table(
@@ -631,8 +645,8 @@ class TestFaultStream:
         ]
         streamed = summarize_stream(chunks, cost_model, faults=faults, **kwargs)
         exact = summarize(
-            simulate_faulty_table(
-                table, cost_model, faults, num_devices=2, max_wait_s=2e-3
+            simulate_table(
+                table, cost_model, faults=faults, num_devices=2, max_wait_s=2e-3
             ),
             config=S_SPRINT.name,
             mode="sprint",
@@ -673,13 +687,13 @@ class TestFaultThreads:
     @pytest.fixture()
     def prebuilds(self, monkeypatch):
         calls = []
-        original = faults_module._prebuild_vectors
+        original = decode_module._prebuild_vectors
 
         def recorded(core, spec_i, vlen, olen, threads):
             calls.append(threads)
             original(core, spec_i, vlen, olen, threads)
 
-        monkeypatch.setattr(faults_module, "_prebuild_vectors", recorded)
+        monkeypatch.setattr(decode_module, "_prebuild_vectors", recorded)
         return calls
 
     def test_table_bitwise_across_threads(self, cost_model, table, prebuilds):
@@ -743,10 +757,10 @@ class TestFaultTraces:
         faults = make_schedule("exponential", 2)
         config = TraceConfig(head=0, stride=1)  # record everything
         fast_rec = TraceRecorder(config)
-        simulate_faulty_table(
+        simulate_table(
             table,
             cost_model,
-            faults,
+            faults=faults,
             num_devices=2,
             max_wait_s=2e-3,
             recorder=fast_rec,
@@ -812,6 +826,47 @@ class TestDeadlineSampling:
 
 
 # ----------------------------------------------------------------------
+# stream-input rules: one message per rule on every stream route
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("faults", [False, True], ids=["no-fault", "fault"])
+@pytest.mark.parametrize("generative", [False, True], ids=["prefill", "decode"])
+class TestStreamInputRules:
+    @pytest.fixture()
+    def table(self, generative):
+        return generate_request_table(
+            PoissonProcess(120.0),
+            "BERT-B",
+            count=40,
+            seed=0,
+            mean_output_tokens=4.0 if generative else None,
+        )
+
+    @pytest.fixture()
+    def run(self, cost_model, generative, faults):
+        """The stream route under test: the prefill engine's driver or
+        the decode engine's, with or without a schedule."""
+        kwargs = {"faults": FaultSchedule.none(1)} if faults else {}
+        simulate = simulate_decode_stream if generative else simulate_stream
+        return lambda chunks: simulate(chunks, cost_model, **kwargs)
+
+    def test_out_of_order_chunks(self, table, run):
+        with pytest.raises(
+            ValueError, match=r"^chunks must be ordered by \(arrival_s, request_id\)"
+        ):
+            run([table.slice(20, 40), table.slice(0, 20)])
+
+    def test_spec_list_mismatch(self, table, run):
+        later = table.slice(20, 40)
+        later.specs = list(later.specs) + [get_model("ViT-B")]
+        with pytest.raises(ValueError, match="^chunks must share one spec list$"):
+            run([table.slice(0, 20), later])
+
+    def test_empty_stream(self, run):
+        with pytest.raises(ValueError, match="^request stream must not be empty$"):
+            run([])
+
+
+# ----------------------------------------------------------------------
 # entry-point validation (satellite: input hardening)
 # ----------------------------------------------------------------------
 class TestValidation:
@@ -832,14 +887,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="empty"):
             simulate_table(empty, cost_model)
         with pytest.raises(ValueError, match="empty"):
-            simulate_faulty_table(empty, cost_model, FaultSchedule.none(1))
+            simulate_table(empty, cost_model, faults=FaultSchedule.none(1))
 
     def test_bad_device_count_rejected(self, cost_model, table):
         with pytest.raises(ValueError, match="device"):
             simulate_table(table, cost_model, num_devices=0)
         with pytest.raises(ValueError, match="device"):
-            simulate_faulty_table(
-                table, cost_model, FaultSchedule.none(1), num_devices=0
+            simulate_table(
+                table, cost_model, faults=FaultSchedule.none(1), num_devices=0
             )
         with pytest.raises(ValueError, match="device"):
             FaultSchedule.none(0)
@@ -848,8 +903,8 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_wait_s"):
             simulate_table(table, cost_model, max_wait_s=-1e-3)
         with pytest.raises(ValueError, match="max_wait_s"):
-            simulate_faulty_table(
-                table, cost_model, FaultSchedule.none(1), max_wait_s=-1e-3
+            simulate_table(
+                table, cost_model, faults=FaultSchedule.none(1), max_wait_s=-1e-3
             )
 
     def test_negative_load_rejected(self):
@@ -902,6 +957,35 @@ class TestValidation:
             else:
                 simulate_stream([table], cost_model, **kwargs)
 
+    @pytest.mark.parametrize("faults", [False, True], ids=["no-fault", "fault"])
+    @pytest.mark.parametrize("generative", [False, True], ids=["prefill", "decode"])
+    def test_duplicate_request_id_across_chunks(
+        self, cost_model, generative, faults
+    ):
+        # Pinned per route: only a fault schedule tracks ids across
+        # chunks (a set that grows with the stream); the fault-free
+        # routes check within a chunk and accept the repeat.
+        table = generate_request_table(
+            PoissonProcess(120.0),
+            "BERT-B",
+            count=20,
+            seed=0,
+            mean_output_tokens=4.0 if generative else None,
+        )
+        first, second = table.slice(0, 10), table.slice(10, 20)
+        repeated = int(first.request_id[0])
+        second.request_id[5] = repeated
+        if faults:
+            with pytest.raises(
+                ValueError, match=f"duplicate request id {repeated}$"
+            ):
+                simulate_stream(
+                    [first, second], cost_model, faults=FaultSchedule.none(1)
+                )
+        else:
+            result = simulate_stream([first, second], cost_model)
+            assert result.completed == 20
+
     def test_has_duplicate_ids_matches_unique(self):
         from repro.serving.requests import has_duplicate_ids
 
@@ -917,8 +1001,8 @@ class TestValidation:
 
     def test_schedule_fleet_mismatch_rejected(self, cost_model, table):
         with pytest.raises(ValueError, match="fleet"):
-            simulate_faulty_table(
-                table, cost_model, FaultSchedule.none(3), num_devices=2
+            simulate_table(
+                table, cost_model, faults=FaultSchedule.none(3), num_devices=2
             )
 
     def test_retry_policy_validation(self):

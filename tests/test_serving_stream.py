@@ -271,12 +271,14 @@ class TestParallelEquivalence:
     @pytest.mark.parametrize("jobs", (1, 2, 4))
     def test_sharded_simulate_table(self, jobs, cost_model):
         table = generate_request_table(
-            make_process("trace"), MIX, count=1200, seed=5
+            make_process("trace"), MIX, count=1200, seed=5,
+            deadline_range_s=(0.05, 0.5),
         )
         base = simulate_table(table, cost_model, num_devices=2)
         out = simulate_table_sharded(
             table, cost_model, jobs=jobs, num_devices=2
         )
+        assert np.array_equal(out.table.deadline_s, base.table.deadline_s)
         assert np.array_equal(out.finish_s, base.finish_s)
         assert np.array_equal(out.batched_s, base.batched_s)
         assert np.array_equal(out.service_start_s, base.service_start_s)
