@@ -7,16 +7,21 @@ module simulates the *same* deployment semantics at batch granularity
 over a struct-of-arrays :class:`~repro.serving.requests.RequestTable`:
 
 1. **Batch formation is device-independent.**  The dynamic batcher
-   seals on size or on the oldest member's wait bound only, so every
-   sealed batch -- members, seal time, and trigger -- is computable in
-   a single forward pass over each model's sorted arrival column,
-   without running an event loop at all.
+   seals on size or on the oldest member's wait bound only, so a batch
+   opened at row ``i`` of a model's sorted arrival column closes at a
+   row ``nxt[i]`` known from one vectorized ``searchsorted``.  The
+   batch starts are row 0's orbit under ``nxt``, found by pointer
+   doubling in ``log2(batches)`` array rounds: no event loop and no
+   Python iteration per batch.
 2. **Dispatch is a k-server FIFO over batches.**  Devices are k free
    times; each batch (in global seal order) starts at
    ``max(sealed_s, earliest free time)`` on the lowest-index device
    idle at that instant -- exactly the device the reference loop's
    event-driven dispatch would pick -- collapsing the event count by
-   the mean batch size.
+   the mean batch size.  One device is a seeded ``np.cumsum`` between
+   idle gaps; k devices run one lean scalar step per batch over plain
+   Python floats, and the busy/energy folds are seeded cumsums per
+   device.
 3. **Costs and metrics stay columnar.**  Per-batch cycles/energy come
    from :meth:`~repro.serving.devices.ServiceCostModel.cost_arrays`
    (array indexing into the primed bucket cache) and
@@ -184,7 +189,7 @@ def _form_batches(
     last_arrival_s: Optional[float] = None,
     horizon_s: Optional[float] = None,
 ) -> Tuple[np.ndarray, ...]:
-    """Seal one model queue's batches in a forward pass.
+    """Seal one model queue's batches without a per-batch loop.
 
     Returns formation-order arrays ``(member_start, member_count,
     sealed_s, by_size, tie_arrival, tie_id, consumed)`` where
@@ -218,6 +223,18 @@ def _form_batches(
     batches order by their triggering (final) member's event position,
     timeout/end flushes by their oldest member's queue-creation
     position.
+
+    Formulation: a batch opened at row ``i`` takes every row arriving
+    by ``arrival[i] + max_wait_s`` (``due[i]``, one vectorized
+    ``searchsorted``), at most ``max_batch_size``, so the next batch
+    opens at ``nxt[i] = min(i + max_batch_size, due[i])``.  The batch
+    starts are row 0's orbit under ``nxt`` (see :func:`_orbit`); every
+    other column is an ``np.where`` over the orbit, evaluating the
+    same float expressions as the historical scalar loop, so values
+    are bitwise equal to it (``tests/test_serving_engine.py`` keeps
+    that loop as a differential oracle).  Incremental mode cuts the
+    orbit at its first batch that is neither size-sealed nor due
+    before the horizon.
     """
     if (last_arrival_s is None) == (horizon_s is None):
         raise ValueError("give exactly one of last_arrival_s / horizon_s")
@@ -235,50 +252,68 @@ def _form_batches(
             request_id.copy(),
             n,
         )
-    starts: List[int] = []
-    counts: List[int] = []
-    sealed: List[float] = []
-    by_size: List[bool] = []
-    tie_a: List[float] = []
-    tie_i: List[int] = []
-    i = 0
-    while i < n:
-        deadline = float(arrival[i]) + max_wait_s
-        due = int(np.searchsorted(arrival, deadline, side="right"))
-        take = min(max_batch_size, due - i)
-        if take == max_batch_size:
-            last = i + take - 1
-            seal_at, size_trigger = float(arrival[last]), True
-            anchor_a, anchor_i = float(arrival[last]), int(request_id[last])
-        elif last_arrival_s is not None:
-            seal_at = deadline if deadline <= last_arrival_s else last_arrival_s
-            size_trigger = False
-            anchor_a, anchor_i = float(arrival[i]), int(request_id[i])
-        elif deadline < horizon_s:
-            # Incremental mode: this timeout seal is final -- every
-            # arrival that could still join (<= deadline) has been seen,
-            # and the deadline precedes the stream's end (the horizon is
-            # itself an arrival), so no end-of-stream clamp applies.
-            seal_at, size_trigger = deadline, False
-            anchor_a, anchor_i = float(arrival[i]), int(request_id[i])
-        else:
-            break
-        starts.append(i)
-        counts.append(take)
-        sealed.append(seal_at)
-        by_size.append(size_trigger)
-        tie_a.append(anchor_a)
-        tie_i.append(anchor_i)
-        i += take
-    return (
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(counts, dtype=np.int64),
-        np.asarray(sealed, dtype=np.float64),
-        np.asarray(by_size, dtype=bool),
-        np.asarray(tie_a, dtype=np.float64),
-        np.asarray(tie_i, dtype=np.int64),
-        i,
+    # A batch opened at row i holds every row up to its deadline, at
+    # most max_batch_size of them: the next batch opens at nxt[i].
+    deadline = arrival + max_wait_s
+    nxt = np.empty(n + 1, dtype=np.int64)
+    np.minimum(
+        np.arange(max_batch_size, n + max_batch_size, dtype=np.int64),
+        np.searchsorted(arrival, deadline, side="right"),
+        out=nxt[:n],
     )
+    nxt[n] = n
+    starts = _orbit(nxt)
+    counts = nxt[starts] - starts
+    by_size = counts == max_batch_size
+    opened = deadline[starts]
+    consumed = n
+    if last_arrival_s is not None:
+        timeout_seal = np.where(opened <= last_arrival_s, opened, last_arrival_s)
+    else:
+        # Incremental mode: a timeout seal is final once every arrival
+        # that could still join (<= deadline) has been seen, and the
+        # deadline precedes the stream's end (the horizon is itself an
+        # arrival), so no end-of-stream clamp applies.  The first batch
+        # that is not final cuts the orbit: its rows stay pending.
+        open_at = np.flatnonzero(~by_size & (opened >= horizon_s))
+        if open_at.size:
+            cut = int(open_at[0])
+            consumed = int(starts[cut])
+            starts, counts, by_size = starts[:cut], counts[:cut], by_size[:cut]
+            opened = opened[:cut]
+        timeout_seal = opened
+    # Size seals fire at (and FIFO-order by) their final member's
+    # arrival; timeout/end flushes order by their oldest member.
+    anchor = np.where(by_size, starts + counts - 1, starts)
+    tie_arrival = arrival[anchor]
+    return (
+        starts,
+        counts,
+        np.where(by_size, tie_arrival, timeout_seal),
+        by_size,
+        tie_arrival,
+        request_id[anchor].astype(np.int64, copy=False),
+        consumed,
+    )
+
+
+def _orbit(nxt: np.ndarray) -> np.ndarray:
+    """Row 0's orbit under ``nxt``, ascending, without the sink.
+
+    ``nxt`` maps each row to a strictly later one and the sink ``n``
+    (its last entry) to itself.  Pointer doubling: after round ``r``,
+    ``path`` holds the orbit's first ``2**r`` steps in order and
+    ``jump`` advances ``2**r`` steps, so ``log2(batches)`` rounds of
+    integer fancy-indexing replace one Python iteration per batch.
+    """
+    n = nxt.size - 1
+    path = np.zeros(1, dtype=np.int64)
+    jump = nxt
+    while path[-1] != n:
+        path = np.concatenate((path, jump[path]))
+        if path[-1] != n:
+            jump = jump[jump]
+    return path[: np.searchsorted(path, n)]
 
 
 def _queue_map(specs) -> Tuple[List, np.ndarray]:
@@ -402,6 +437,57 @@ def _single_device_chain(
     return start, finish
 
 
+#: Batches per ``.tolist()`` window of the k-device dispatch loop:
+#: large enough to amortize each conversion, small enough that no
+#: whole-run Python list is ever built.
+_DISPATCH_WINDOW = 4096
+
+
+def _multi_device_starts(
+    sealed: np.ndarray, service: np.ndarray, free_at: List[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """K-device dispatch over batches already in dispatch order.
+
+    Returns per-batch ``(start, device)`` and advances ``free_at`` in
+    place.  The reference scans devices in index order at the dispatch
+    instant, so the *lowest-index device idle at the seal* takes the
+    batch; only when every device is busy does the batch wait for the
+    earliest-freed one (the lowest index among equal free times).  The
+    scalar loop runs over plain Python floats, one ``.tolist()`` window
+    at a time.
+    """
+    n = sealed.size
+    start = np.empty(n, dtype=np.float64)
+    device = np.empty(n, dtype=np.int64)
+    devices = range(len(free_at))
+    for lo in range(0, n, _DISPATCH_WINDOW):
+        hi = min(n, lo + _DISPATCH_WINDOW)
+        starts: List[float] = []
+        picked: List[int] = []
+        for at, cost in zip(sealed[lo:hi].tolist(), service[lo:hi].tolist()):
+            for d in devices:
+                if free_at[d] <= at:
+                    break
+            else:
+                at = min(free_at)
+                d = free_at.index(at)
+            free_at[d] = at + cost
+            starts.append(at)
+            picked.append(d)
+        start[lo:hi] = starts
+        device[lo:hi] = picked
+    return start, device
+
+
+def _left_fold(seed: float, values: np.ndarray) -> float:
+    """``seed + v0 + v1 + ...`` added strictly left to right.
+
+    A seeded ``np.cumsum`` *is* the scalar loop's sequential ``+=``
+    fold (``np.sum`` is pairwise and would round differently).
+    """
+    return float(np.cumsum(np.concatenate(([seed], values)))[-1])
+
+
 def _dispatch(
     sealed_s: np.ndarray,
     service_s: np.ndarray,
@@ -431,38 +517,23 @@ def _dispatch(
     if num_batches == 0:
         return batch_start, batch_finish, batch_device
     order = np.lexsort((tie_id, tie_arrival, ~size_sealed, sealed_s))
+    sealed_o = sealed_s[order]
+    service_o = service_s[order]
+    energy_o = energy_pj[order]
     if len(free_at) == 1:
-        sv = service_s[order]
-        st, fin = _single_device_chain(sealed_s[order], sv, free_at[0])
-        batch_start[order] = st
-        batch_finish[order] = fin
-        batch_device[:] = 0
-        free_at[0] = float(fin[-1])
-        # Seeded cumsum == the loop's sequential ``+=`` left fold.
-        busy_s[0] = float(np.cumsum(np.concatenate(([busy_s[0]], sv)))[-1])
-        energy_by_device[0] = float(
-            np.cumsum(np.concatenate(([energy_by_device[0]], energy_pj[order])))[-1]
-        )
+        start_o, finish_o = _single_device_chain(sealed_o, service_o, free_at[0])
+        device_o = np.zeros(num_batches, dtype=np.int64)
+        free_at[0] = float(finish_o[-1])
     else:
-        for b in order:
-            start = sealed_s[b]
-            earliest = min(free_at)
-            if earliest > start:
-                start = earliest
-            # The reference scans devices in index order at the dispatch
-            # instant: the *lowest-index idle* device takes the batch,
-            # not necessarily the earliest-freed one.
-            for device in range(len(free_at)):
-                if free_at[device] <= start:
-                    break
-            service = float(service_s[b])
-            finish = start + service
-            free_at[device] = finish
-            busy_s[device] += service
-            energy_by_device[device] += float(energy_pj[b])
-            batch_start[b] = start
-            batch_finish[b] = finish
-            batch_device[b] = device
+        start_o, device_o = _multi_device_starts(sealed_o, service_o, free_at)
+        finish_o = start_o + service_o
+    for device in range(len(free_at)):
+        mine = device_o == device
+        busy_s[device] = _left_fold(busy_s[device], service_o[mine])
+        energy_by_device[device] = _left_fold(energy_by_device[device], energy_o[mine])
+    batch_start[order] = start_o
+    batch_finish[order] = finish_o
+    batch_device[order] = device_o
     return batch_start, batch_finish, batch_device
 
 
@@ -491,10 +562,12 @@ def simulate_table(
     :class:`~repro.serving.devices.SprintDevice` plus a
     :class:`~repro.serving.batching.DynamicBatcher` and calling
     :meth:`~repro.serving.scheduler.ServingSimulator.run`, but
-    batch-granular: O(requests / mean batch size) light Python
-    iterations instead of O(requests) heap events.  Unlike the
-    single-use reference simulator, this function carries no run state
-    and may be called repeatedly.
+    batch-granular and array-shaped: batch formation runs in
+    ``log2(batches)`` vectorized rounds, one-device dispatch in
+    vectorized stretches between idle gaps, and k-device dispatch in
+    one plain-float scalar step per batch -- instead of O(requests)
+    heap events.  Unlike the single-use reference simulator, this
+    function carries no run state and may be called repeatedly.
 
     ``recorder`` opts into sim-time tracing: the sampled requests'
     lifecycle spans are emitted from the finished columns after the

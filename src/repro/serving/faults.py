@@ -335,28 +335,20 @@ class FaultColumnarResult:
     @property
     def latency_s(self) -> np.ndarray:
         """End-to-end latency of the *completed* rows."""
-        m = self.completed
-        return self.finish_s[m] - self.table.arrival_s[m]
+        return self.completed_rows().latency_s
 
     @property
     def queue_wait_s(self) -> np.ndarray:
-        m = self.completed
-        return self.service_start_s[m] - self.table.arrival_s[m]
+        return self.completed_rows().queue_wait_s
 
     @property
     def ttft_s(self) -> np.ndarray:
-        m = self.completed
-        return self.first_token_s[m] - self.table.arrival_s[m]
+        return self.completed_rows().ttft_s
 
     @property
     def tbt_s(self) -> np.ndarray:
-        """Mean time between tokens of completed multi-token rows."""
-        out = self.table.output_len
-        if out is None:
-            return np.empty(0, dtype=np.float64)
-        m = self.completed & (out > 1)
-        steps = out[m] - 1
-        return (self.finish_s[m] - self.first_token_s[m]) / steps
+        """Mean time between tokens per completed row (NaN when 1 token)."""
+        return self.completed_rows().tbt_s
 
     @property
     def dropped_by_reason(self) -> dict:

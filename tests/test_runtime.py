@@ -665,7 +665,9 @@ class TestStreamingUnitCache:
             str(marks),
             str(tmp_path / "cache"),
         ]
-        return subprocess.Popen(cmd, env=env)
+        # Its own session: the driver leads a process group holding
+        # every pool worker it forks, so one killpg takes all down.
+        return subprocess.Popen(cmd, env=env, start_new_session=True)
 
     def test_killed_jobs_run_resumes_from_landed_units(self, tmp_path):
         import os
@@ -688,7 +690,7 @@ class TestStreamingUnitCache:
             assert landed >= 1, "no unit result streamed into the cache"
         finally:
             if proc.poll() is None:
-                os.kill(proc.pid, signal.SIGKILL)
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
 
         # No torn entries: everything that landed is a whole pickle.
@@ -816,7 +818,9 @@ class TestDecodeUnitResume:
             str(marks),
             str(tmp_path / "cache"),
         ]
-        return subprocess.Popen(cmd, env=env)
+        # Its own session: the driver leads a process group holding
+        # every pool worker it forks, so one killpg takes all down.
+        return subprocess.Popen(cmd, env=env, start_new_session=True)
 
     def test_killed_decode_run_resumes_from_landed_units(self, tmp_path):
         import os
@@ -838,7 +842,7 @@ class TestDecodeUnitResume:
             assert landed >= 1, "no decode unit streamed into the cache"
         finally:
             if proc.poll() is None:
-                os.kill(proc.pid, signal.SIGKILL)
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
 
         landed = 0

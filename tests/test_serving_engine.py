@@ -10,9 +10,12 @@ hashes captured before vectorization).
 """
 
 import hashlib
+from typing import List, Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.configs import S_SPRINT
 from repro.core.system import ExecutionMode
@@ -33,6 +36,7 @@ from repro.serving import (
     summarize,
 )
 from repro.experiments.serving import ServingExperiment
+from repro.serving.engine import _dispatch, _form_batches
 
 SEEDS = (0, 1, 7)
 DEVICE_COUNTS = (1, 2, 4)
@@ -181,6 +185,23 @@ class TestEngineEquivalence:
         }
         assert reports["fast"] == reports["reference"]
 
+    @pytest.mark.parametrize("num_devices", (2, 4))
+    def test_timeout_sealed_encoder_mix_equal(self, cost_model, num_devices):
+        # Encoder capacity planning below saturation: batches rarely
+        # fill, so nearly every one seals on timeout with one member.
+        table = generate_request_table(
+            PoissonProcess(150.0),
+            {"BERT-B": 0.5, "BERT-L": 0.1, "ViT-B": 0.4},
+            count=2000,
+            seed=0,
+        )
+        for idx, spec in enumerate(table.specs):
+            cost_model.prime(spec, table.valid_len[table.spec_idx == idx])
+        fast = simulate_table(table, cost_model, num_devices=num_devices)
+        assert fast.timeout_triggered_batches > 0.9 * fast.batches
+        assert fast.batches > 0.8 * len(table)
+        assert_engines_equal(table, cost_model, num_devices, 2e-3)
+
     def test_validation(self, cost_model):
         table = generate_request_table(PoissonProcess(10.0), "BERT-B", 10)
         with pytest.raises(ValueError):
@@ -198,6 +219,206 @@ class TestEngineEquivalence:
         )
         with pytest.raises(ValueError):
             simulate_table(dup, cost_model)
+
+
+def _scalar_form_batches(
+    arrival: np.ndarray,
+    request_id: np.ndarray,
+    max_batch_size: int,
+    max_wait_s: float,
+    last_arrival_s: Optional[float] = None,
+    horizon_s: Optional[float] = None,
+):
+    """The historical one-iteration-per-batch formation loop (oracle)."""
+    if (last_arrival_s is None) == (horizon_s is None):
+        raise ValueError("give exactly one of last_arrival_s / horizon_s")
+    n = arrival.size
+    if max_wait_s == 0.0:
+        return (
+            np.arange(n, dtype=np.int64),
+            np.ones(n, dtype=np.int64),
+            arrival.copy(),
+            np.full(n, max_batch_size == 1, dtype=bool),
+            arrival.copy(),
+            request_id.copy(),
+            n,
+        )
+    starts: List[int] = []
+    counts: List[int] = []
+    sealed: List[float] = []
+    by_size: List[bool] = []
+    tie_a: List[float] = []
+    tie_i: List[int] = []
+    i = 0
+    while i < n:
+        deadline = float(arrival[i]) + max_wait_s
+        due = int(np.searchsorted(arrival, deadline, side="right"))
+        take = min(max_batch_size, due - i)
+        if take == max_batch_size:
+            last = i + take - 1
+            seal_at, size_trigger = float(arrival[last]), True
+            anchor_a, anchor_i = float(arrival[last]), int(request_id[last])
+        elif last_arrival_s is not None:
+            seal_at = deadline if deadline <= last_arrival_s else last_arrival_s
+            size_trigger = False
+            anchor_a, anchor_i = float(arrival[i]), int(request_id[i])
+        elif deadline < horizon_s:
+            seal_at, size_trigger = deadline, False
+            anchor_a, anchor_i = float(arrival[i]), int(request_id[i])
+        else:
+            break
+        starts.append(i)
+        counts.append(take)
+        sealed.append(seal_at)
+        by_size.append(size_trigger)
+        tie_a.append(anchor_a)
+        tie_i.append(anchor_i)
+        i += take
+    return (
+        np.asarray(starts, dtype=np.int64),
+        np.asarray(counts, dtype=np.int64),
+        np.asarray(sealed, dtype=np.float64),
+        np.asarray(by_size, dtype=bool),
+        np.asarray(tie_a, dtype=np.float64),
+        np.asarray(tie_i, dtype=np.int64),
+        i,
+    )
+
+
+#: Arrival grid: multiples of 2**-10 s, so deadlines at the 2**-9 and
+#: 2**-7 wait bounds land exactly on arrivals (exact float sums).
+TICK = 2.0**-10
+
+
+@st.composite
+def formation_case(draw):
+    ticks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=60))
+    arrival = np.sort(np.asarray(ticks, dtype=np.float64)) * TICK
+    ids = np.asarray(draw(st.permutations(range(arrival.size))), dtype=np.int64)
+    order = np.lexsort((ids, arrival))  # canonical: ties by request id
+    arrival, ids = arrival[order], ids[order]
+    knobs = dict(
+        max_batch_size=draw(st.integers(1, 9)),
+        max_wait_s=draw(st.sampled_from((0.0, 2.0**-9, 2.0**-7))),
+    )
+    if draw(st.booleans()):
+        # Whole-stream mode: the global last arrival, at or after this
+        # queue's own.
+        knobs["last_arrival_s"] = float(arrival[-1]) + draw(st.integers(0, 8)) * TICK
+    else:
+        knobs["horizon_s"] = float(draw(st.sampled_from(arrival.tolist())))
+    return arrival, ids, knobs
+
+
+class TestBatchFormation:
+    """The loop-free formation equals the scalar per-batch loop."""
+
+    @given(formation_case())
+    @settings(max_examples=400, deadline=None)
+    def test_form_batches_matches_scalar_loop(self, case):
+        arrival, ids, knobs = case
+        fast = _form_batches(arrival, ids, **knobs)
+        oracle = _scalar_form_batches(arrival, ids, **knobs)
+        assert len(fast) == len(oracle) == 7
+        for got, want in zip(fast[:6], oracle[:6]):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert type(fast[6]) is type(oracle[6]) is int
+        assert fast[6] == oracle[6]
+
+
+def _scalar_dispatch(
+    sealed_s, service_s, energy_pj, size_sealed, tie_arrival, tie_id,
+    free_at, busy_s, energy_by_device,
+):
+    """The historical one-iteration-per-batch k-device dispatch (oracle)."""
+    n = sealed_s.size
+    batch_start = np.empty(n, dtype=np.float64)
+    batch_finish = np.empty(n, dtype=np.float64)
+    batch_device = np.empty(n, dtype=np.int64)
+    for b in np.lexsort((tie_id, tie_arrival, ~size_sealed, sealed_s)):
+        start = sealed_s[b]
+        earliest = min(free_at)
+        if earliest > start:
+            start = earliest
+        for device in range(len(free_at)):
+            if free_at[device] <= start:
+                break
+        service = float(service_s[b])
+        finish = start + service
+        free_at[device] = finish
+        busy_s[device] += service
+        energy_by_device[device] += float(energy_pj[b])
+        batch_start[b] = start
+        batch_finish[b] = finish
+        batch_device[b] = device
+    return batch_start, batch_finish, batch_device
+
+
+@st.composite
+def dispatch_case(draw):
+    n = draw(st.integers(1, 60))
+    ticks = st.integers(0, 40)
+    sealed = np.asarray(draw(st.lists(ticks, min_size=n, max_size=n)), float) * TICK
+    # Whole-tick service times make free times collide with seal
+    # instants and with each other: the tie-breaking rules matter.
+    service = np.asarray(
+        draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)), float
+    ) * TICK
+    energy = np.asarray(
+        draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)), float
+    )
+    size_sealed = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    tie_arrival = sealed - np.asarray(
+        draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), float
+    ) * TICK
+    tie_id = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    k = draw(st.integers(1, 4))
+    state = [
+        [float(t) * TICK for t in draw(st.lists(ticks, min_size=k, max_size=k))],
+        [float(x) for x in draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))],
+        [float(x) for x in draw(st.lists(st.floats(0.0, 1e3), min_size=k, max_size=k))],
+    ]
+    return (sealed, service, energy, size_sealed, tie_arrival, tie_id), state
+
+
+class TestDispatch:
+    """Windowed k-device dispatch equals the scalar per-batch loop."""
+
+    @given(dispatch_case())
+    @settings(max_examples=300, deadline=None)
+    def test_dispatch_matches_scalar_loop(self, case):
+        batches, state = case
+        fast_state = [list(column) for column in state]
+        oracle_state = [list(column) for column in state]
+        fast = _dispatch(*batches, *fast_state)
+        oracle = _scalar_dispatch(*batches, *oracle_state)
+        for got, want in zip(fast, oracle):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(fast_state, oracle_state):
+            assert got == want
+        # busy/energy folds stay plain floats (they land in results).
+        assert all(type(x) is float for x in fast_state[1] + fast_state[2])
+
+    def test_dispatch_window_boundaries(self):
+        # More batches than one .tolist() window, on a loaded fleet.
+        rng = np.random.default_rng(0)
+        n = 3 * 4096 + 17
+        sealed = np.cumsum(rng.integers(0, 3, n)) * TICK
+        service = rng.integers(1, 8, n) * TICK
+        batches = (
+            sealed, service, rng.random(n), rng.random(n) < 0.3, sealed,
+            rng.permutation(n).astype(np.int64),
+        )
+        fast_state = [[0.0] * 3, [0.0] * 3, [0.0] * 3]
+        oracle_state = [[0.0] * 3, [0.0] * 3, [0.0] * 3]
+        fast = _dispatch(*batches, *fast_state)
+        oracle = _scalar_dispatch(*batches, *oracle_state)
+        for got, want in zip(fast, oracle):
+            assert got.tobytes() == want.tobytes()
+        assert fast_state == oracle_state
+        assert len(set(fast[2].tolist())) == 3
 
 
 #: SHA-256 of the (id, repr(arrival), model, valid_len) stream, captured

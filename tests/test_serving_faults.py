@@ -525,6 +525,32 @@ class TestConservation:
             assert result.device_busy_s[dev] <= span - downtime + 1e-9
             assert result.device_downtime_s[dev] == pytest.approx(downtime)
 
+    def test_result_columns_are_completed_rows_columns(self, cost_model):
+        # One name, one shape: the whole-table result's lifecycle
+        # columns are its completed rows' CompletedChunk columns.
+        table = generate_request_table(
+            PoissonProcess(120.0),
+            "BERT-B",
+            count=200,
+            seed=0,
+            mean_output_tokens=3.0,
+        )
+        cost_model.prime(table.specs[0], np.arange(1, table.specs[0].seq_len + 1))
+        result = simulate_table(
+            table,
+            cost_model,
+            faults=make_schedule("fixed", 2),
+            retry=RetryPolicy(max_attempts=1),
+            num_devices=2,
+        )
+        rows = result.completed_rows()
+        assert 0 < result.completed_count < len(table)
+        assert np.any(rows.output_len == 1) and np.any(rows.output_len > 1)
+        for name in ("latency_s", "queue_wait_s", "ttft_s", "tbt_s"):
+            got, want = getattr(result, name), getattr(rows, name)
+            assert got.shape == (result.completed_count,)
+            assert got.tobytes() == want.tobytes(), name
+
     def test_summarize_conservation_and_engine_agreement(self, cost_model):
         table = generate_request_table(
             PoissonProcess(120.0), "BERT-B", count=200, seed=0
